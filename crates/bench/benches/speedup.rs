@@ -1,7 +1,7 @@
 //! E3 (kernel) — one batch of scenario evaluations through each backend of
-//! the unified evaluation layer: serial, the channel Master/Worker farm,
-//! and work stealing. The three produce bit-identical fitness vectors, so
-//! this isolates pure scheduling cost.
+//! the unified evaluation layer: serial and the channel Master/Worker farm.
+//! Both produce bit-identical fitness vectors, so this isolates pure
+//! scheduling cost.
 
 use ess::cases;
 use ess::fitness::{EvalBackend, ScenarioEvaluator, StepContext};
@@ -28,11 +28,7 @@ fn main() {
 
     group("eval_backends (64 scenarios/batch)");
     let mut reference: Option<Vec<u64>> = None;
-    for backend in [
-        EvalBackend::Serial,
-        EvalBackend::WorkerPool(2),
-        EvalBackend::Rayon(2),
-    ] {
+    for backend in [EvalBackend::Serial, EvalBackend::WorkerPool(2)] {
         let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), backend);
         let fitness = evaluator.evaluate(&batch);
         let bits: Vec<u64> = fitness.iter().map(|f| f.to_bits()).collect();

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! harness <experiment|all> [--seeds N] [--scale F] [--cases a,b]
-//!         [--backend serial|worker-pool:N|rayon:N] [--out DIR]
+//!         [--backend serial|worker-pool:N] [--out DIR]
 //!
 //! experiments:
 //!   table1      Table I   — fireLib parameter space
@@ -13,7 +13,7 @@
 //!   fig3-trace  Fig. 3    — ESS-NS dataflow trace (NS blocks visible)
 //!   e1-quality  E1        — quality per step, per case, per method
 //!   e2-diversity E2       — result-set diversity per method
-//!   e3-speedup  E3        — Master/Worker + rayon scaling
+//!   e3-speedup  E3        — Master/Worker scaling
 //!   e4-throughput E4      — simulator throughput
 //!   e5-deceptive E5       — NS vs fitness GA on deceptive functions
 //!   e6-tuning   E6        — ESSIM-DE tuning operators
@@ -38,13 +38,12 @@
 //! requested explicitly.
 //!
 //! `serve` turns the harness into a prediction server: each stdin line is
-//! a JSON request — protocol v1 (`{"op":"run",...}`) or protocol v2
-//! (`{"v":2,"id":N,"kind":"run",...}`, with streaming progress frames,
-//! checkpoint/resume and bounded `advance`) — each stdout line a JSON
-//! event; every accepted session multiplexes the one shared backend
-//! selected with `--backend`, scheduled under `--policy` (round-robin,
-//! weighted-fair-share or deadline-first).
-//! `serve --self-test` runs the canned v1 script through the same loop
+//! a protocol-v2 JSON request (`{"v":2,"id":N,"kind":"run",...}`, with
+//! streaming progress frames, checkpoint/resume and bounded `advance`) —
+//! each stdout line a v2 frame; every accepted session multiplexes the one
+//! shared backend selected with `--backend`, scheduled under `--policy`
+//! (round-robin, weighted-fair-share or deadline-first).
+//! `serve --self-test` runs the canned v2 script through the same loop
 //! and verifies the summary; `serve --self-test-v2` runs the recorded v2
 //! multi-client script, kills one session mid-script, resumes it from its
 //! snapshot, and diffs the final reports against the uninterrupted golden
@@ -154,7 +153,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N|rayon:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--self-test-v2] [--out DIR]".to_string()
+    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--self-test-v2] [--out DIR]".to_string()
 }
 
 fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {

@@ -386,17 +386,16 @@ pub fn e3_speedup(worker_counts: &[usize]) -> TextTable {
         f2(1.0),
     ]);
     for &w in worker_counts {
-        for backend in [EvalBackend::WorkerPool(w), EvalBackend::Rayon(w)] {
-            let ms = run_with(backend);
-            let row = SpeedupRow::new(w, std::time::Duration::from_secs_f64(ms / 1e3), baseline);
-            t.row([
-                backend.name(),
-                w.to_string(),
-                f2(ms),
-                f2(row.speedup),
-                f2(row.efficiency),
-            ]);
-        }
+        let backend = EvalBackend::WorkerPool(w);
+        let ms = run_with(backend);
+        let row = SpeedupRow::new(w, std::time::Duration::from_secs_f64(ms / 1e3), baseline);
+        t.row([
+            backend.name(),
+            w.to_string(),
+            f2(ms),
+            f2(row.speedup),
+            f2(row.efficiency),
+        ]);
     }
     t
 }
@@ -877,6 +876,15 @@ pub fn e10_noise(seeds: &[u64], scale: f64, backend: EvalBackend, kernel: Kernel
     t
 }
 
+/// Serial plus the worker pool at every requested count (2 workers when
+/// `quick`): the backend list of the workloads and service sweeps.
+fn sweep_backends(worker_counts: &[usize], quick: bool) -> Vec<EvalBackend> {
+    let counts: &[usize] = if quick { &[2] } else { worker_counts };
+    std::iter::once(EvalBackend::Serial)
+        .chain(counts.iter().map(|&w| EvalBackend::WorkerPool(w)))
+        .collect()
+}
+
 /// W — the workload-corpus sweep: every named workload × every evaluation
 /// backend, measuring scenario-evaluation throughput on the arena hot path
 /// and running the full calibration → prediction pipeline once per
@@ -894,15 +902,7 @@ pub fn workloads_sweep(worker_counts: &[usize], quick: bool, out: &std::path::Pa
     } else {
         workload::corpus()
     };
-    let mut backends = vec![EvalBackend::Serial];
-    if quick {
-        backends.push(EvalBackend::WorkerPool(2));
-    } else {
-        for &w in worker_counts {
-            backends.push(EvalBackend::WorkerPool(w));
-            backends.push(EvalBackend::Rayon(w));
-        }
-    }
+    let backends = sweep_backends(worker_counts, quick);
     let batch = if quick { 12usize } else { 48 };
     let reps = if quick { 1u32 } else { 3 };
 
@@ -1172,15 +1172,7 @@ pub fn service_sweep(worker_counts: &[usize], quick: bool, out: &std::path::Path
     let case = "meadow_small";
     let scale = if quick { 0.15 } else { 0.5 };
     let replicates = 2usize; // 4 systems × 2 = 8 concurrent sessions
-    let mut backends = vec![EvalBackend::Serial];
-    if quick {
-        backends.push(EvalBackend::WorkerPool(2));
-    } else {
-        for &w in worker_counts {
-            backends.push(EvalBackend::WorkerPool(w));
-            backends.push(EvalBackend::Rayon(w));
-        }
-    }
+    let backends = sweep_backends(worker_counts, quick);
 
     if let Err(e) = std::fs::create_dir_all(out) {
         eprintln!("[warn] could not create {}: {e}", out.display());
@@ -1284,6 +1276,10 @@ pub fn service_sweep(worker_counts: &[usize], quick: bool, out: &std::path::Path
     t
 }
 
+/// Interleaved serial/fused repeats behind the fusion sweep's 16-session
+/// speedup gate.
+pub const FUSION_GATE_REPEATS: usize = 21;
+
 /// F — the cross-session batch-fusion microbench on `archipelago_large`
 /// (200×200, the workload where worker-pool dispatch used to *lose* to
 /// serial at batch ≈12). Three configurations per concurrent-session
@@ -1299,7 +1295,10 @@ pub fn service_sweep(worker_counts: &[usize], quick: bool, out: &std::path::Path
 /// # Panics
 /// Panics when any configuration's results diverge from serial unfused,
 /// or (on a multi-core host) when fused worker-pool fails to reach 1.5×
-/// serial at 16 concurrent sessions.
+/// serial at 16 concurrent sessions. That gate runs the serial and fused
+/// 16-session drains interleaved [`FUSION_GATE_REPEATS`] times and
+/// asserts on the median of the per-repeat ratios, so one noisy drain
+/// cannot flip it.
 pub fn fusion_sweep(quick: bool, out: &std::path::Path) -> TextTable {
     use ess::fitness::SharedScenarioPool;
     use ess_service::{PolicyKind, RunSpec, Scheduler, SessionOutcome};
@@ -1365,24 +1364,47 @@ pub fn fusion_sweep(quick: bool, out: &std::path::Path) -> TextTable {
     ]);
     let mut json_counts: Vec<Json> = Vec::new();
     for &sessions in counts {
-        let (serial_ms, evals, reference) = drain(EvalBackend::Serial, false, sessions);
+        let (_, evals, reference) = drain(EvalBackend::Serial, false, sessions);
         let (pool_ms, _, pool_digest) = drain(EvalBackend::WorkerPool(workers), false, sessions);
-        let (fused_ms, _, fused_digest) = drain(EvalBackend::WorkerPool(workers), true, sessions);
         assert_eq!(
             reference, pool_digest,
             "worker-pool rounds diverged from serial at {sessions} sessions"
         );
-        assert_eq!(
-            reference, fused_digest,
-            "fused rounds diverged from serial at {sessions} sessions"
-        );
+        // Serial and fused drains interleaved, so a slow spell on the host
+        // hits both sides of a ratio; the first serial drain above warms
+        // the caches. The repeat with the median ratio is reported.
+        let repeats = if sessions == 16 {
+            FUSION_GATE_REPEATS
+        } else {
+            1
+        };
+        let mut runs: Vec<(f64, f64)> = (0..repeats)
+            .map(|_| {
+                let (serial_ms, _, serial_digest) = drain(EvalBackend::Serial, false, sessions);
+                let (fused_ms, _, fused_digest) =
+                    drain(EvalBackend::WorkerPool(workers), true, sessions);
+                assert_eq!(
+                    reference, serial_digest,
+                    "serial rounds diverged between repeats"
+                );
+                assert_eq!(
+                    reference, fused_digest,
+                    "fused rounds diverged from serial at {sessions} sessions"
+                );
+                (serial_ms, fused_ms)
+            })
+            .collect();
+        runs.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
+        let ratios: Vec<f64> = runs.iter().map(|(s, f)| s / f).collect();
+        let (serial_ms, fused_ms) = runs.get(repeats / 2).copied().unwrap_or_default();
         let pool_x = serial_ms / pool_ms;
         let fused_x = serial_ms / fused_ms;
         if sessions == 16 && cores >= 2 {
             assert!(
                 fused_x >= 1.5,
                 "fused worker-pool must reach 1.5x serial at 16 sessions \
-                 on {cores} cores (got {fused_x:.3}x)"
+                 on {cores} cores (median of {repeats} interleaved repeats: \
+                 {fused_x:.3}x; per repeat: {ratios:.3?})"
             );
         }
         if sessions == 16 && cores < 2 {
@@ -1405,6 +1427,7 @@ pub fn fusion_sweep(quick: bool, out: &std::path::Path) -> TextTable {
             Json::obj()
                 .field("sessions", sessions)
                 .field("evaluations", evals)
+                .field("repeats", repeats)
                 .field("serial_unfused_ms", serial_ms)
                 .field("worker_pool_unfused_ms", pool_ms)
                 .field("worker_pool_fused_ms", fused_ms)

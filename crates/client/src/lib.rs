@@ -47,6 +47,11 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered the request with an error reply.
     Server(String),
+    /// The spec was refused before sending: it fails
+    /// [`RunSpec::validate`], so the server would refuse it too, or the
+    /// JSON wire could not carry it exactly (a seed above
+    /// [`RunSpec::MAX_SEED`]).
+    BadSpec(String),
 }
 
 impl fmt::Display for ClientError {
@@ -55,6 +60,7 @@ impl fmt::Display for ClientError {
             ClientError::Transport(e) => write!(f, "transport: {e}"),
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::Server(m) => write!(f, "server error: {m}"),
+            ClientError::BadSpec(m) => write!(f, "refused before sending: {m}"),
         }
     }
 }
@@ -98,8 +104,11 @@ impl<R: BufRead, W: Write> Client<R, W> {
     /// ids. `watch` subscribes to per-step `progress` frames.
     ///
     /// # Errors
-    /// Transport, protocol, or server-side spec errors.
+    /// Transport, protocol, or server-side spec errors; a spec that fails
+    /// [`RunSpec::validate`] is refused locally without a round trip.
     pub fn run(&mut self, spec: &RunSpec, watch: bool) -> Result<Vec<SessionId>, ClientError> {
+        spec.validate()
+            .map_err(|e| ClientError::BadSpec(e.to_string()))?;
         match self.request(RequestKind::Run {
             spec: spec.clone(),
             watch,

@@ -4,7 +4,7 @@
 //! uninterrupted run of the same spec bit for bit (deterministic fields).
 
 use ess::fitness::EvalBackend;
-use ess_client::{pipe, Client};
+use ess_client::{pipe, Client, ClientError};
 use ess_service::proto::{DoneFrame, Frame};
 use ess_service::serve::serve_with;
 use ess_service::{PolicyKind, RunSpec};
@@ -147,4 +147,44 @@ fn server_side_spec_errors_do_not_kill_the_connection() {
     let summary = server.join().unwrap().unwrap();
     assert_eq!(summary.errors, 1);
     assert_eq!(summary.exhausted, 1);
+}
+
+#[test]
+fn seeds_beyond_the_wire_limit_are_refused_on_both_paths() {
+    // 2^53 is the largest integer a JSON number carries exactly: it
+    // round-trips through the wire form unchanged.
+    let at_limit = RunSpec::new("ESS", "meadow_small").seed(RunSpec::MAX_SEED);
+    let wire = at_limit.to_json().to_string();
+    let parsed = RunSpec::from_json(&ess_service::jsonio::Json::parse(&wire).unwrap()).unwrap();
+    assert_eq!(parsed, at_limit);
+
+    // 2^53 + 1 would round to 2^53 on the wire: the local path refuses it…
+    let beyond = RunSpec::new("ESS", "meadow_small")
+        .scale(0.15)
+        .max_steps(1)
+        .seed(RunSpec::MAX_SEED + 1);
+    let local = beyond.run().expect_err("local run refuses the seed");
+    assert!(local.to_string().contains("2^53"), "{local}");
+
+    // …and so does the served path, with the same message.
+    let (mut client, server) = spawn_server(PolicyKind::RoundRobin);
+    match client.run(&beyond, false) {
+        Err(ClientError::BadSpec(message)) => assert_eq!(message, local.to_string()),
+        other => panic!("served run of seed 2^53+1 was not refused: {other:?}"),
+    }
+    client.quit().expect("quit");
+    assert_eq!(server.join().unwrap().unwrap().accepted, 0);
+
+    // A raw wire seed above the limit (2^53 + 2 is exact as a double) is
+    // refused by the server with the limit named, not as a non-integer.
+    let raw = concat!(
+        r#"{"v":2,"id":1,"kind":"run","spec":{"system":"ESS","case":"meadow_small","#,
+        r#""seed":9007199254740994}}"#,
+        "\n"
+    );
+    let mut out = Vec::new();
+    let summary = ess_service::serve(raw.as_bytes(), &mut out, EvalBackend::Serial).unwrap();
+    assert_eq!((summary.accepted, summary.errors), (0, 1));
+    let text = String::from_utf8(out).unwrap();
+    assert!(text.contains("2^53"), "{text}");
 }

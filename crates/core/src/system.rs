@@ -27,7 +27,7 @@ pub struct EssNsConfig {
     /// baseline).
     pub inclusion: InclusionPolicy,
     /// Execution backend for scenario evaluation (the `PEA F` block of
-    /// Fig. 3): Serial, the Master/Worker farm, or work stealing. Results
+    /// Fig. 3): Serial or the Master/Worker farm. Results
     /// are backend-independent; only wall time changes.
     pub backend: EvalBackend,
     /// Named workload/case to run on (resolved through [`ess::cases`]: a

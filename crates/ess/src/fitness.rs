@@ -162,7 +162,7 @@ pub type DynBackend = Box<dyn Backend<Vec<f64>, f64>>;
 /// simulate into the worker's private [`SimArena`] via
 /// [`StepContext::fitness_with`] (zero steady-state allocations: spread
 /// cache, heap and arrival raster all live in the arena), score with
-/// Eq. (3) — so Serial, WorkerPool and Rayon produce bit-identical fitness
+/// Eq. (3) — so Serial and WorkerPool produce bit-identical fitness
 /// vectors for the same genome batch.
 pub struct ScenarioEvaluator<B: Backend<Vec<f64>, f64> = DynBackend> {
     ctx: Arc<StepContext>,
@@ -560,12 +560,9 @@ mod tests {
             .collect();
         let mut serial = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Serial);
         let mut pool = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::WorkerPool(2));
-        let mut ray = ScenarioEvaluator::new(Arc::clone(&ctx), EvalBackend::Rayon(2));
         let fs = serial.evaluate(&genomes);
         let fp = pool.evaluate(&genomes);
-        let fr = ray.evaluate(&genomes);
         assert_eq!(fs, fp, "worker-pool backend diverged from serial");
-        assert_eq!(fs, fr, "rayon backend diverged from serial");
         assert_eq!(serial.evaluation_count(), 12);
     }
 

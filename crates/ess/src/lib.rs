@@ -14,7 +14,7 @@
 //! * [`fitness`] — the per-step evaluation context (simulate a scenario
 //!   over the last known interval, score with Eq. (3)) and the
 //!   [`fitness::ScenarioEvaluator`], which runs batches on any
-//!   [`parworker::Backend`] (Serial / WorkerPool / Rayon, selected at
+//!   [`parworker::Backend`] (Serial / WorkerPool, selected at
 //!   runtime by [`parworker::EvalBackend`]);
 //! * [`fusion`] — cross-session batch fusion: per-session lanes park
 //!   their evaluation batches with a round coordinator, which fuses them

@@ -1,5 +1,5 @@
 //! The unified evaluation layer's core contract, as a property test:
-//! Serial, WorkerPool and Rayon backends are *interchangeable* — for any
+//! Serial and WorkerPool backends are *interchangeable* — for any
 //! genome batch they return bit-identical fitness vectors and identical
 //! evaluation accounting, so backend choice can never change results, only
 //! wall time (the premise of the E3 speedup comparison).
@@ -42,7 +42,6 @@ fn all_backends_bit_identical_on_random_batches() {
         EvalBackend::Serial,
         EvalBackend::WorkerPool(2),
         EvalBackend::WorkerPool(4),
-        EvalBackend::Rayon(2),
     ];
     // Persistent evaluators: worker state must stay correct across rounds.
     let mut evaluators: Vec<ScenarioEvaluator> = specs
@@ -92,11 +91,7 @@ fn all_backends_produce_unit_interval_fitness() {
     let ctx = step1_context();
     let mut rng = StdRng::seed_from_u64(99);
     let batch = random_batch(&mut rng, 16);
-    for spec in [
-        EvalBackend::Serial,
-        EvalBackend::WorkerPool(3),
-        EvalBackend::Rayon(3),
-    ] {
+    for spec in [EvalBackend::Serial, EvalBackend::WorkerPool(3)] {
         let mut evaluator = ScenarioEvaluator::new(Arc::clone(&ctx), spec);
         for f in evaluator.evaluate(&batch) {
             assert!((0.0..=1.0).contains(&f), "{spec}: fitness {f} out of range");
@@ -116,14 +111,7 @@ fn parsed_specs_match_programmatic_ones() {
         .iter()
         .map(|f| f.to_bits())
         .collect();
-    for spec_str in [
-        "serial",
-        "worker-pool:2",
-        "pool:3",
-        "mw:2",
-        "rayon:2",
-        "steal:2",
-    ] {
+    for spec_str in ["serial", "worker-pool:2", "pool:3", "mw:2"] {
         let spec: EvalBackend = spec_str.parse().expect("valid spec");
         let got: Vec<u64> = ScenarioEvaluator::new(Arc::clone(&ctx), spec)
             .evaluate(&batch)
@@ -150,11 +138,7 @@ fn all_backends_bit_identical_on_heterogeneous_workload() {
         case.times[0],
         case.times[1],
     ));
-    let specs = [
-        EvalBackend::Serial,
-        EvalBackend::WorkerPool(3),
-        EvalBackend::Rayon(2),
-    ];
+    let specs = [EvalBackend::Serial, EvalBackend::WorkerPool(3)];
     let mut evaluators: Vec<ScenarioEvaluator> = specs
         .iter()
         .map(|&s| ScenarioEvaluator::new(Arc::clone(&ctx), s))
@@ -189,7 +173,6 @@ fn backend_names_surface_through_the_evaluator() {
     let pairs = [
         (EvalBackend::Serial, "serial"),
         (EvalBackend::WorkerPool(2), "worker-pool(2)"),
-        (EvalBackend::Rayon(2), "rayon(2)"),
     ];
     for (spec, name) in pairs {
         assert_eq!(

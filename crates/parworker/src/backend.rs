@@ -10,18 +10,17 @@
 //!   the same work function, so for a pure work function every backend
 //!   produces bit-identical outputs for the same input batch.
 //! * [`EvalBackend`] — the runtime *specification* of a backend (a plain
-//!   config value: serial, Master/Worker farm of `n`, work stealing over
-//!   `n`). [`EvalBackend::build`] turns a spec plus a state factory and a
-//!   work function into a running [`Backend`]. Specs parse from strings
-//!   (`"serial"`, `"worker-pool:4"`, `"rayon:4"`), so CLIs and config files
-//!   can select backends without code changes.
+//!   config value: serial, or the Master/Worker farm of `n`).
+//!   [`EvalBackend::build`] turns a spec plus a state factory and a work
+//!   function into a running [`Backend`]. Specs parse from strings
+//!   (`"serial"`, `"worker-pool:4"`), so CLIs and config files can select
+//!   backends without code changes.
 //!
 //! Consumers (the `ess` crate's `ScenarioEvaluator`, the bench harness)
 //! hold a `Box<dyn Backend<T, R>>` and never know which strategy runs
 //! underneath — swapping backends is a config edit, not a refactor.
 
 use crate::pool::WorkerPool;
-use crate::steal::StealPool;
 use std::fmt;
 use std::str::FromStr;
 
@@ -108,20 +107,6 @@ impl<T: Send + 'static, R: Send + 'static> Backend<T, R> for WorkerPool<T, R> {
     }
 }
 
-impl<T: Send + 'static, R: Send + 'static> Backend<T, R> for StealPool<T, R> {
-    fn map(&mut self, tasks: Vec<T>) -> Vec<R> {
-        StealPool::map(self, tasks)
-    }
-
-    fn name(&self) -> String {
-        format!("rayon({})", StealPool::workers(self))
-    }
-
-    fn workers(&self) -> usize {
-        StealPool::workers(self)
-    }
-}
-
 /// Which execution backend evaluates batches — a plain runtime config
 /// value. Build the running backend with [`EvalBackend::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,10 +116,6 @@ pub enum EvalBackend {
     /// The persistent Master/Worker channel farm with this many workers
     /// (the paper's deployment model).
     WorkerPool(usize),
-    /// The work-stealing pool with this many threads (scheduling
-    /// comparison point; historically backed by the rayon crate, now the
-    /// dependency-free [`StealPool`] with the same dynamic scheduling).
-    Rayon(usize),
 }
 
 impl EvalBackend {
@@ -147,13 +128,13 @@ impl EvalBackend {
     pub fn workers(&self) -> usize {
         match self {
             EvalBackend::Serial => 1,
-            EvalBackend::WorkerPool(n) | EvalBackend::Rayon(n) => (*n).max(1),
+            EvalBackend::WorkerPool(n) => (*n).max(1),
         }
     }
 
     /// Instantiates the backend: `state_factory(worker_id)` builds each
     /// worker's private state once, `work(&mut state, task)` evaluates one
-    /// task. All three strategies run the *same* work function, so a pure
+    /// task. Both strategies run the *same* work function, so a pure
     /// `work` makes their outputs bit-identical.
     ///
     /// # Panics
@@ -169,7 +150,6 @@ impl EvalBackend {
         match self {
             EvalBackend::Serial => Box::new(SerialBackend::new(state_factory(0), work)),
             EvalBackend::WorkerPool(n) => Box::new(WorkerPool::new(n, state_factory, work)),
-            EvalBackend::Rayon(n) => Box::new(StealPool::new(n, state_factory, work)),
         }
     }
 }
@@ -179,7 +159,6 @@ impl fmt::Display for EvalBackend {
         match self {
             EvalBackend::Serial => write!(f, "serial"),
             EvalBackend::WorkerPool(n) => write!(f, "worker-pool({n})"),
-            EvalBackend::Rayon(n) => write!(f, "rayon({n})"),
         }
     }
 }
@@ -192,7 +171,7 @@ impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid backend '{}' (expected serial | worker-pool:N | rayon:N)",
+            "invalid backend '{}' (expected serial | worker-pool:N)",
             self.0
         )
     }
@@ -203,10 +182,10 @@ impl std::error::Error for ParseBackendError {}
 impl FromStr for EvalBackend {
     type Err = ParseBackendError;
 
-    /// Parses `serial`, `worker-pool:N` (aliases `pool:N`,
-    /// `master-worker:N`, `mw:N`) and `rayon:N` (alias `steal:N`). The
-    /// `Display` form `worker-pool(N)` / `rayon(N)` is accepted too, so
-    /// backend names printed in reports round-trip back through configs.
+    /// Parses `serial` and `worker-pool:N` (aliases `pool:N`,
+    /// `master-worker:N`, `mw:N`). The `Display` form `worker-pool(N)` is
+    /// accepted too, so backend names printed in reports round-trip back
+    /// through configs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let spec = s.trim();
         if spec.eq_ignore_ascii_case("serial") {
@@ -227,7 +206,6 @@ impl FromStr for EvalBackend {
         }
         match kind.trim().to_ascii_lowercase().as_str() {
             "worker-pool" | "pool" | "master-worker" | "mw" => Ok(EvalBackend::WorkerPool(n)),
-            "rayon" | "steal" => Ok(EvalBackend::Rayon(n)),
             _ => Err(ParseBackendError(s.into())),
         }
     }
@@ -245,11 +223,7 @@ mod tests {
     #[test]
     fn all_backends_agree_on_a_pure_function() {
         let expected: Vec<u64> = (0..40).map(|x| x * 2).collect();
-        for backend in [
-            EvalBackend::Serial,
-            EvalBackend::WorkerPool(3),
-            EvalBackend::Rayon(3),
-        ] {
+        for backend in [EvalBackend::Serial, EvalBackend::WorkerPool(3)] {
             assert_eq!(doubled_by(backend), expected, "{backend} diverged");
         }
     }
@@ -267,11 +241,10 @@ mod tests {
     fn names_and_workers() {
         assert_eq!(EvalBackend::Serial.name(), "serial");
         assert_eq!(EvalBackend::WorkerPool(4).name(), "worker-pool(4)");
-        assert_eq!(EvalBackend::Rayon(2).name(), "rayon(2)");
         assert_eq!(EvalBackend::Serial.workers(), 1);
         assert_eq!(EvalBackend::WorkerPool(4).workers(), 4);
-        let built = EvalBackend::Rayon(2).build(|_| (), |_: &mut (), x: u8| x);
-        assert_eq!(Backend::<u8, u8>::name(&built), "rayon(2)");
+        let built = EvalBackend::WorkerPool(2).build(|_| (), |_: &mut (), x: u8| x);
+        assert_eq!(Backend::<u8, u8>::name(&built), "worker-pool(2)");
         assert_eq!(Backend::<u8, u8>::workers(&built), 2);
     }
 
@@ -297,27 +270,24 @@ mod tests {
             "mw:8".parse::<EvalBackend>().unwrap(),
             EvalBackend::WorkerPool(8)
         );
-        assert_eq!(
-            "rayon:2".parse::<EvalBackend>().unwrap(),
-            EvalBackend::Rayon(2)
-        );
-        assert_eq!(
-            "steal:3".parse::<EvalBackend>().unwrap(),
-            EvalBackend::Rayon(3)
-        );
         assert!("bogus".parse::<EvalBackend>().is_err());
-        assert!("rayon:0".parse::<EvalBackend>().is_err());
+        assert!("pool:0".parse::<EvalBackend>().is_err());
         assert!("pool:x".parse::<EvalBackend>().is_err());
+        // The retired work-stealing specs are refused, and the message
+        // lists only the surviving backends.
+        for retired in ["rayon:2", "steal:2", "rayon(2)"] {
+            let err = retired.parse::<EvalBackend>().unwrap_err().to_string();
+            assert!(
+                err.ends_with("(expected serial | worker-pool:N)"),
+                "{retired}: {err}"
+            );
+        }
     }
 
     #[test]
     fn display_form_parses_back() {
         // Names printed in reports (e.g. the E3 table) are valid specs.
-        for backend in [
-            EvalBackend::Serial,
-            EvalBackend::WorkerPool(4),
-            EvalBackend::Rayon(2),
-        ] {
+        for backend in [EvalBackend::Serial, EvalBackend::WorkerPool(4)] {
             assert_eq!(backend.to_string().parse::<EvalBackend>().unwrap(), backend);
         }
         assert!("worker-pool()".parse::<EvalBackend>().is_err());
@@ -326,11 +296,7 @@ mod tests {
 
     #[test]
     fn display_round_trips_through_name() {
-        for backend in [
-            EvalBackend::Serial,
-            EvalBackend::WorkerPool(2),
-            EvalBackend::Rayon(5),
-        ] {
+        for backend in [EvalBackend::Serial, EvalBackend::WorkerPool(2)] {
             assert_eq!(backend.to_string(), backend.name());
         }
     }

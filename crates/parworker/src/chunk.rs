@@ -1,17 +1,16 @@
 //! Scoped, self-scheduling chunk map — the borrowed-data counterpart of
-//! [`crate::StealPool`].
+//! the persistent [`crate::WorkerPool`].
 //!
-//! The persistent pools fix their work function (and its `'static` captured
+//! The persistent pool fixes its work function (and its `'static` captured
 //! state) at spawn time, which is the right shape for scenario evaluation:
 //! the simulator lives as long as the pool. Batch *scoring* work is
 //! different — novelty scoring reads a reference set (the generation's
 //! behaviour matrix) that is rebuilt every generation and only borrowed for
 //! the duration of one scoring round. [`scoped_chunk_map`] covers that
-//! case: scoped threads, so `f` may borrow from the caller, with the same
-//! dynamic scheduling discipline as the steal pool — workers pull the next
-//! contiguous chunk of indices from a shared counter, so an irregular cost
-//! profile (e.g. kNN subjects near dense clusters) cannot leave threads
-//! idle the way a static split would.
+//! case: scoped threads, so `f` may borrow from the caller, with dynamic
+//! scheduling — workers pull the next contiguous chunk of indices from a
+//! shared counter, so an irregular cost profile (e.g. kNN subjects near
+//! dense clusters) cannot leave threads idle the way a static split would.
 
 use std::any::Any;
 use std::ops::Range;
@@ -21,7 +20,7 @@ use std::sync::Mutex;
 
 /// Maps `f` over `0..items`, returning results in index order. Chunks of
 /// `chunk_size` consecutive indices are handed out dynamically to at most
-/// `workers` scoped threads (self-scheduling, like [`crate::StealPool`]);
+/// `workers` scoped threads (self-scheduling);
 /// with one worker — or when a single chunk covers everything — the map
 /// runs inline in the caller with no thread spawned at all.
 ///
@@ -127,8 +126,8 @@ where
 /// simulation state: each item owns mutable scratch (a tile's frontier
 /// queue, its outbox, its gather buffers) that exactly one worker may
 /// touch at a time. Items are handed out dynamically in contiguous chunks
-/// from a shared bag (same discipline as the steal pool), `f` receives
-/// `(item_index, &mut item)`, and with one worker — or a single chunk —
+/// from a shared counter (same discipline as [`scoped_chunk_map`]), `f`
+/// receives `(item_index, &mut item)`, and with one worker — or a single chunk —
 /// everything runs inline in the caller with no thread spawned.
 ///
 /// Unlike [`scoped_chunk_map`] there is no result vector: the mutations

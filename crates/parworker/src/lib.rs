@@ -12,22 +12,18 @@
 //!
 //! * [`backend`] — the [`Backend`] trait (ordered batch map with
 //!   per-worker state) and the [`EvalBackend`] runtime spec that builds
-//!   one of the three interchangeable implementations below. This is the
+//!   one of the two interchangeable implementations below. This is the
 //!   single seam between the metaheuristics and the hardware: algorithm
 //!   code depends on the trait only, and backend choice is a config value.
 //! * [`pool::WorkerPool`] — a persistent Master/Worker task farm. The
 //!   master scatters indexed tasks over a shared channel; workers own
 //!   per-worker mutable state (e.g. a simulator with scratch buffers),
 //!   compute, and send results back; the master gathers and reorders.
-//! * [`steal::StealPool`] — the same contract with work-stealing
-//!   scheduling (idle workers pull from a shared bag), used to compare
-//!   scheduling strategies in the benches.
 //! * [`backend::SerialBackend`] — the in-master 1-worker baseline of E3.
-//! * [`pool::scoped_par_map`] — a one-shot scoped fork/join map for
-//!   borrowed data.
 //! * [`chunk::scoped_chunk_map`] — the self-scheduling scoped chunk map
-//!   (StealPool's dynamic scheduling over borrowed data); the batch
-//!   novelty-scoring path of the `evoalg` crate runs on it.
+//!   for borrowed data (workers pull contiguous index chunks from a
+//!   shared counter); the batch novelty-scoring path of the `evoalg`
+//!   crate and the tiled fire kernel run on it.
 //! * [`channel`] — the dependency-free MPMC channel under the farm.
 //! * [`stats`] — wall-clock / busy-time instrumentation feeding the
 //!   speedup experiment (E3).
@@ -37,10 +33,8 @@ pub mod channel;
 pub mod chunk;
 pub mod pool;
 pub mod stats;
-pub mod steal;
 
 pub use backend::{Backend, EvalBackend, ParseBackendError, SerialBackend};
 pub use chunk::{scoped_chunk_map, scoped_chunk_map_ranges, scoped_for_each_mut};
-pub use pool::{scoped_par_map, WorkerPool};
+pub use pool::WorkerPool;
 pub use stats::{PoolStats, SpeedupRow, Stopwatch};
-pub use steal::StealPool;

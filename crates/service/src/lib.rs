@@ -32,9 +32,10 @@
 //!   deadline first), so the whole process shares a single worker pool
 //!   instead of spawning one per run per step;
 //! * [`serve`](mod@serve) — the dependency-free line-delimited JSON loop
-//!   `harness serve` speaks: protocol v1 (PR 3, still served unchanged)
-//!   plus protocol v2 ([`proto`] — versioned typed envelopes, streaming
-//!   `progress` frames, snapshot/restore, bounded `advance`);
+//!   `harness serve` speaks: protocol v2 ([`proto`] — versioned typed
+//!   envelopes, streaming `progress` frames, snapshot/restore, bounded
+//!   `advance`), with every request line capped at
+//!   [`serve::MAX_REQUEST_LINE_BYTES`];
 //! * [`jsonio`] — the hand-rolled JSON writer/reader shared with the
 //!   bench harness's `BENCH_*.json` emission.
 //!

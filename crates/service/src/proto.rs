@@ -25,11 +25,9 @@
 //!             steps, mean_quality, total_evaluations, wall_ms}
 //! ```
 //!
-//! Version sniff: a line whose object has `"v":2` is a v2 request; a line
-//! with an `"op"` member is a v1 request (the PR 3 protocol, still served
-//! unchanged); anything else is an error event. Replies to v1 requests
-//! stay in the v1 event dialect, so old clients never see an envelope they
-//! cannot parse.
+//! v2 is the only dialect the serve loop speaks: a line without `"v":2`
+//! is answered with an `error` reply (correlation id 0 when the line
+//! carries no usable `id`).
 
 use crate::jsonio::Json;
 use crate::scheduler::SessionId;
@@ -116,8 +114,7 @@ impl Request {
         }
     }
 
-    /// Parses a v2 request envelope (the caller has already sniffed
-    /// `"v":2`).
+    /// Parses a v2 request envelope.
     ///
     /// # Errors
     /// A one-line description naming the offending member.
@@ -126,10 +123,10 @@ impl Request {
             Some(VERSION) => {}
             Some(other) => {
                 return Err(format!(
-                    "unsupported protocol version {other} (this server speaks v{VERSION} and v1)"
+                    "unsupported protocol version {other} (this server speaks v{VERSION} only)"
                 ))
             }
-            None => return Err("request needs a numeric 'v'".into()),
+            None => return Err(format!("request needs \"v\":{VERSION}")),
         }
         let id = v
             .get("id")

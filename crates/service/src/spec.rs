@@ -211,12 +211,19 @@ impl RunSpec {
     /// wanting more statistical replicates than this submit more specs.
     pub const MAX_REPLICATES: usize = 1024;
 
+    /// The largest seed a spec may carry: 2^53. Wire numbers are IEEE
+    /// doubles ([`Json::as_u64`]), which hold every integer up to 2^53
+    /// exactly and round larger ones, so a larger seed would make a
+    /// served run differ from the same spec run locally.
+    pub const MAX_SEED: u64 = 1 << 53;
+
     /// Validates the non-name fields.
     ///
     /// # Errors
     /// [`ServiceError::BadSpec`] on zero or more than
-    /// [`RunSpec::MAX_REPLICATES`] replicates, a non-positive or
-    /// non-finite scale or weight, or a zero budget (a budget of 0 can
+    /// [`RunSpec::MAX_REPLICATES`] replicates, a seed above
+    /// [`RunSpec::MAX_SEED`], a non-positive or non-finite scale or
+    /// weight, or a zero budget (a budget of 0 can
     /// never admit a step, which is always a mistake — omit the budget
     /// instead). Every message names the offending field.
     pub fn validate(&self) -> Result<(), ServiceError> {
@@ -228,6 +235,13 @@ impl RunSpec {
                 "replicates must be ≤ {} (got {}); submit more specs to run additional replicates",
                 Self::MAX_REPLICATES,
                 self.replicates
+            )));
+        }
+        if self.seed > Self::MAX_SEED {
+            return Err(ServiceError::BadSpec(format!(
+                "seed must be ≤ 2^53 = {} so the JSON wire carries it exactly (got {})",
+                Self::MAX_SEED,
+                self.seed
             )));
         }
         if !(self.scale.is_finite() && self.scale > 0.0) {
@@ -405,9 +419,9 @@ impl RunSpec {
             )
     }
 
-    /// Parses a spec object (a v1 `run` request body, a v2 `spec` payload,
-    /// or a snapshot's embedded spec — unknown members and `null` budgets
-    /// are ignored) and validates it.
+    /// Parses a spec object (a v2 `spec` payload or a snapshot's embedded
+    /// spec — unknown members and `null` budgets are ignored) and
+    /// validates it.
     ///
     /// # Errors
     /// A one-line description naming the offending field.
@@ -448,7 +462,10 @@ impl RunSpec {
             );
         }
         if let Some(x) = present("seed") {
-            spec = spec.seed(x.as_u64().ok_or("'seed' must be a non-negative integer")?);
+            // A whole number beyond the wire limit fails `validate` below
+            // with a message naming the limit (the cast saturates).
+            let seed = x.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
+            spec = spec.seed(seed.ok_or("'seed' must be a non-negative integer")? as u64);
         }
         if let Some(x) = present("replicates") {
             spec = spec.replicates(

@@ -54,10 +54,9 @@ fn random_spec(rng: &mut StdRng) -> RunSpec {
         spec = spec.deadline_ms(1 + (rng.random::<u64>() >> 44));
     }
     if rng.random_bool(0.5) {
-        spec = spec.backend(match rng.random_range(0..3u32) {
+        spec = spec.backend(match rng.random_range(0..2u32) {
             0 => ess::fitness::EvalBackend::Serial,
-            1 => ess::fitness::EvalBackend::WorkerPool(1 + rng.random_range(0..8usize)),
-            _ => ess::fitness::EvalBackend::Rayon(1 + rng.random_range(0..8usize)),
+            _ => ess::fitness::EvalBackend::WorkerPool(1 + rng.random_range(0..8usize)),
         });
     }
     if rng.random_bool(0.5) {

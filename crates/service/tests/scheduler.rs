@@ -271,9 +271,10 @@ fn serve_protocol_self_test_passes_on_a_shared_pool() {
         .expect("self test");
     assert_eq!(summary.accepted, 8);
     let text = String::from_utf8(transcript).expect("utf-8 protocol");
-    // Every line of the transcript is a parseable JSON event object.
+    // Every line of the transcript is a v2 frame.
     for line in text.lines() {
-        let event = ess_service::jsonio::Json::parse(line).expect("valid event line");
-        assert!(event.get("event").is_some(), "event field missing: {line}");
+        let json = ess_service::jsonio::Json::parse(line).expect("valid JSON line");
+        ess_service::proto::Frame::from_json(&json)
+            .unwrap_or_else(|e| panic!("not a v2 frame: {line} ({e})"));
     }
 }

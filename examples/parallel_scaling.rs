@@ -61,13 +61,6 @@ fn main() {
     }
     println!("master/worker farm (channel scatter/gather):");
     println!("{}", render_speedup_table(&rows));
-
-    let rayon2 = time_backend(EvalBackend::Rayon(2));
-    println!(
-        "rayon(2) work stealing: {:.1} ms (speedup {:.2})",
-        rayon2.as_secs_f64() * 1e3,
-        baseline.as_secs_f64() / rayon2.as_secs_f64(),
-    );
     println!(
         "\nWith {cores} cores available, speedup saturates at ~{cores}x; oversubscribed\n\
          worker counts only add scheduling overhead — the same plateau the\n\
