@@ -1445,9 +1445,9 @@ pub fn fusion_sweep(quick: bool, out: &std::path::Path) -> TextTable {
     }
 
     // Small-batch regression: the pool's inline-serial fallback versus
-    // forced pool dispatch on the batch size that used to lose (≈12
-    // genomes). Pinned bit-identical; the timing ratio documents why the
-    // threshold exists.
+    // forced pool dispatch on a 12-genome batch (one island's worth).
+    // Pinned bit-identical; the timing ratio is the number the
+    // `DEFAULT_INLINE_THRESHOLD` doc cites.
     let burn = cases::by_name(case).expect("archipelago_large resolves as a case");
     let ctx = step1_context(&burn);
     let batch = 12usize;

@@ -17,10 +17,19 @@
 //!
 //! Both operators can be disabled to reproduce the *untuned* ESSIM-DE that
 //! the tuning papers compare against (experiment E6).
+//!
+//! Process-level note: as in ESSIM-EA, the islands (MPI process groups in
+//! the original, all evaluating at once) are [`DeEngine`]s driven through
+//! their ask/tell halves by one thread, and every evaluation round is one
+//! concatenated batch on the scenario evaluator: the initial populations,
+//! each generation's trials, the islands the IQR metric restarts in that
+//! generation (batched after all the tells), and the stagnation restart.
+//! Each island owns its RNG and evaluation is pure, so the results equal
+//! evaluating island by island; only the batch shape differs.
 
 use crate::fitness::ScenarioEvaluator;
 use crate::pipeline::{OptimizeOutcome, StepOptimizer};
-use evoalg::{DeConfig, DeEngine};
+use evoalg::{ask_evaluate_tell, DeConfig, DeEngine};
 use firelib::GENE_COUNT;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,9 +205,18 @@ impl StepOptimizer for EssimDe {
                 )
             })
             .collect();
-        for isl in &mut islands {
-            isl.evaluate_initial(evaluator);
-        }
+        ask_evaluate_tell(
+            evaluator,
+            &mut islands,
+            DeEngine::ask_initial,
+            DeEngine::tell,
+        );
+        // A restart re-seeds an island's worst members and re-evaluates
+        // its whole population.
+        let restart = |isl: &mut DeEngine| {
+            isl.restart_worst(cfg.tuning.restart_fraction);
+            isl.ask_initial()
+        };
 
         let mut best = f64::NEG_INFINITY;
         let mut best_age = 0u32;
@@ -206,20 +224,18 @@ impl StepOptimizer for EssimDe {
         let last_restart_gen = (cfg.max_generations as f64 * cfg.tuning.last_restart_frac) as u32;
         while generation < cfg.max_generations && best < cfg.fitness_threshold {
             let restarts_allowed = generation < last_restart_gen;
-            let mut gen_best = f64::NEG_INFINITY;
-            for isl in &mut islands {
-                let s = isl.step(evaluator);
-                gen_best = gen_best.max(s.best_fitness);
-                // IQR metric: restart an island whose fitness spread
-                // collapsed early (premature convergence).
-                if cfg.tuning.iqr_enabled
-                    && restarts_allowed
-                    && s.fitness_iqr < cfg.tuning.iqr_threshold
-                    && isl.generation() > 1
-                {
-                    isl.restart_worst(cfg.tuning.restart_fraction);
-                    isl.evaluate_initial(evaluator);
-                }
+            let stats = ask_evaluate_tell(evaluator, &mut islands, DeEngine::ask, DeEngine::tell);
+            let gen_best = stats
+                .iter()
+                .fold(f64::NEG_INFINITY, |b, s| b.max(s.best_fitness));
+            // IQR metric: restart every island whose fitness spread
+            // collapsed early (premature convergence), as one batch.
+            if cfg.tuning.iqr_enabled && restarts_allowed {
+                let converged = islands.iter_mut().zip(&stats).filter_map(|(isl, s)| {
+                    (s.fitness_iqr < cfg.tuning.iqr_threshold && isl.generation() > 1)
+                        .then_some(isl)
+                });
+                ask_evaluate_tell(evaluator, converged, restart, DeEngine::tell);
             }
             if gen_best > best + 1e-12 {
                 best = gen_best;
@@ -232,10 +248,7 @@ impl StepOptimizer for EssimDe {
                 && restarts_allowed
                 && best_age >= cfg.tuning.stagnation_window
             {
-                for isl in &mut islands {
-                    isl.restart_worst(cfg.tuning.restart_fraction);
-                    isl.evaluate_initial(evaluator);
-                }
+                ask_evaluate_tell(evaluator, &mut islands, restart, DeEngine::tell);
                 best_age = 0;
             }
             generation += 1;

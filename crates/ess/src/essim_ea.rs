@@ -8,15 +8,20 @@
 //! probability matrices generated by the Masters, together with their Kign
 //! value and the associated fitness … then selects the best candidate".
 //!
-//! Process-level note: the original runs islands as MPI process groups;
-//! here each island is a [`GaEngine`] stepped round-robin by one thread,
-//! with the shared scenario evaluator doing the parallel work — the
-//! paper's own ESS-NS simplification argument (§III-A: the demanding part
-//! is scenario evaluation) applies equally to the baseline.
+//! Process-level note: the original runs islands as MPI process groups,
+//! so all islands evaluate at the same time. Here each island is a
+//! [`GaEngine`] driven through its ask/tell halves by one thread: every
+//! generation asks all islands, evaluates their offspring as **one**
+//! concatenated batch on the scenario evaluator (which does the parallel
+//! work), and tells each island its slice of the scores. One batch per
+//! generation is what lets the worker pool spread the islands' scenarios
+//! over its cores; the paper's own ESS-NS simplification argument
+//! (§III-A: the demanding part is scenario evaluation) applies equally to
+//! the baseline.
 
 use crate::fitness::ScenarioEvaluator;
 use crate::pipeline::{OptimizeOutcome, StepOptimizer};
-use evoalg::{GaConfig, GaEngine};
+use evoalg::{ask_evaluate_tell, GaConfig, GaEngine};
 use firelib::GENE_COUNT;
 
 /// Configuration of the ESSIM-EA baseline.
@@ -139,15 +144,17 @@ impl StepOptimizer for EssimEa {
                 )
             })
             .collect();
-        for isl in &mut islands {
-            isl.evaluate_initial(evaluator);
-        }
+        ask_evaluate_tell(
+            evaluator,
+            &mut islands,
+            GaEngine::ask_initial,
+            GaEngine::tell,
+        );
 
         let mut best = f64::NEG_INFINITY;
         let mut generation = 0u32;
         while generation < cfg.max_generations && best < cfg.fitness_threshold {
-            for isl in &mut islands {
-                let s = isl.step(evaluator);
+            for s in ask_evaluate_tell(evaluator, &mut islands, GaEngine::ask, GaEngine::tell) {
                 best = best.max(s.best_fitness);
             }
             generation += 1;

@@ -215,11 +215,18 @@ fn score(cache: &mut ArenaCache, ctx: &StepContext, genes: &[f64]) -> f64 {
 }
 
 /// Default small-batch threshold of the shared pool: batches at or below
-/// this many genomes run inline on the calling thread. Pool dispatch
-/// (task fan-out, worker wake-ups, result collection) costs more than it
-/// buys at the typical per-step batch size of ~12 genomes, where the
-/// worker pool measured *slower* than serial (0.875× on
-/// `archipelago_large`) before this fallback existed.
+/// this many genomes run inline on the calling thread instead of paying
+/// pool dispatch (task fan-out, worker wake-ups, result collection).
+///
+/// It was set when every island submitted its own ~12-genome batch. On a
+/// 2-core Xeon host, six `harness fusion --quick` runs timed dispatching
+/// a 12-row batch on `archipelago_large` at 0.73–1.00× the inline time
+/// (median 0.90×), so at that size inline is not the faster path; it
+/// only avoids waking the workers. At scale 1 the island models now send
+/// all islands as one batch (36 rows for 3×12) and ESS / ESS-NS
+/// generations are 32 rows, so the served batches that still run inline
+/// are an ESSIM-DE IQR restart of a single island (12 rows), and the
+/// batches of sessions whose `scale` shrinks populations to 16 or fewer.
 pub const DEFAULT_INLINE_THRESHOLD: usize = 16;
 
 /// A scenario-evaluation worker pool shared by many concurrent runs — the
@@ -305,9 +312,8 @@ impl SharedScenarioPool {
     /// the preferred entry point.
     ///
     /// Batches at or below [`SharedScenarioPool::inline_threshold`] run
-    /// serially on the calling thread instead of paying pool dispatch,
-    /// which loses to inline execution at typical per-step batch sizes.
-    /// Both paths run the same pure work function in the same order, so
+    /// serially on the calling thread instead of paying pool dispatch
+    /// (see [`DEFAULT_INLINE_THRESHOLD`] for what that costs). Both paths run the same pure work function in the same order, so
     /// results are bit-identical.
     // audit: allow(panic) — pool-lock poisoning only follows a worker panic; amplifying it is the designed failure mode
     pub fn evaluate_matrix(&self, ctx: &Arc<StepContext>, genomes: &GenomeMatrix) -> Vec<f64> {

@@ -5,8 +5,12 @@
 //! layer can interleave migration and the published tuning operators
 //! (population restart \[21\] and IQR-based dynamic tuning \[22\]) between
 //! generations.
+//!
+//! Like the GA engine, a generation is an ask/tell pair:
+//! [`DeEngine::ask`] builds the trials, [`DeEngine::tell`] runs the
+//! greedy replacement, and [`DeEngine::step`] is `ask → evaluate → tell`.
 
-use crate::ga::{iqr, GenStats};
+use crate::ga::{iqr, Asked, GenStats};
 use crate::individual::{Individual, Population};
 use crate::operators::{de_binomial_crossover, de_rand_1_donor};
 use crate::BatchEvaluator;
@@ -46,6 +50,7 @@ pub struct DeEngine {
     rng: StdRng,
     generation: u32,
     evaluations: u64,
+    asked: Asked,
 }
 
 impl DeEngine {
@@ -77,22 +82,40 @@ impl DeEngine {
             rng,
             generation: 0,
             evaluations: 0,
+            asked: Asked::Nothing,
         }
     }
 
     /// Evaluates the current population (initially, and after restarts or
     /// migrations that introduced unevaluated members).
     pub fn evaluate_initial<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
-        let fitness = evaluator.evaluate(&self.population.genomes());
-        self.evaluations += fitness.len() as u64;
-        self.population.assign_fitness(&fitness);
-        self.stats()
+        let genomes = self.ask_initial();
+        let fitness = evaluator.evaluate(&genomes);
+        self.tell(&fitness)
     }
 
     /// One DE generation: per target, build a `rand/1` donor, binomial
     /// crossover into a trial, evaluate all trials, and greedily replace
     /// each target whose trial is at least as fit.
     pub fn step<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
+        let trials = self.ask();
+        let fitness = evaluator.evaluate(&trials);
+        self.tell(&fitness)
+    }
+
+    /// The ask half of [`DeEngine::evaluate_initial`]: the current
+    /// population's genomes, in member order.
+    pub fn ask_initial(&mut self) -> Vec<Vec<f64>> {
+        Asked::put(&mut self.asked, Asked::Population);
+        self.population.genomes()
+    }
+
+    /// The ask half of [`DeEngine::step`]: one `rand/1/bin` trial per
+    /// target, in member order.
+    ///
+    /// # Panics
+    /// Panics before the population has been evaluated.
+    pub fn ask(&mut self) -> Vec<Vec<f64>> {
         assert!(
             self.population
                 .members()
@@ -116,26 +139,44 @@ impl DeEngine {
                 &mut self.rng,
             ));
         }
-        let trial_fitness = evaluator.evaluate(&trials);
-        self.evaluations += trial_fitness.len() as u64;
-        for (i, (trial, tf)) in trials.into_iter().zip(trial_fitness).enumerate() {
-            assert!(tf.is_finite(), "fitness must be finite");
-            let m = &mut self.population.members_mut()[i];
-            // Greedy selection with >=: drifting across plateaus is what
-            // lets DE escape flat fitness regions (important for J = 0
-            // early fire-prediction populations).
-            if tf >= m.fitness {
-                m.genes = trial;
-                m.fitness = tf;
+        Asked::put(&mut self.asked, Asked::Bred(trials.clone()));
+        trials
+    }
+
+    /// The tell half: scores for the pending ask, in its row order. After
+    /// [`DeEngine::ask_initial`] they become the population's fitness;
+    /// after [`DeEngine::ask`] each target is replaced by its trial when
+    /// the trial is at least as fit, and the generation counter advances.
+    ///
+    /// # Panics
+    /// Panics without a pending ask, or when `fitness` is not one finite
+    /// value per asked genome.
+    pub fn tell(&mut self, fitness: &[f64]) -> GenStats {
+        let asked = Asked::take(&mut self.asked, self.population.len(), fitness.len());
+        self.evaluations += fitness.len() as u64;
+        if let Asked::Bred(trials) = asked {
+            for (i, (trial, &tf)) in trials.into_iter().zip(fitness).enumerate() {
+                assert!(tf.is_finite(), "fitness must be finite");
+                let m = &mut self.population.members_mut()[i];
+                // Greedy selection with >=: drifting across plateaus is what
+                // lets DE escape flat fitness regions (important for J = 0
+                // early fire-prediction populations).
+                if tf >= m.fitness {
+                    m.genes = trial;
+                    m.fitness = tf;
+                }
             }
+            self.generation += 1;
+        } else {
+            self.population.assign_fitness(fitness);
         }
-        self.generation += 1;
         self.stats()
     }
 
     /// Reinitialises the `frac` worst members uniformly at random — the
     /// ESSIM-DE population restart operator (\[21\]). Restarted members are
-    /// unevaluated; call [`DeEngine::evaluate_initial`] before stepping.
+    /// unevaluated; call [`DeEngine::evaluate_initial`] (or its ask/tell
+    /// pair) before stepping.
     pub fn restart_worst(&mut self, frac: f64) {
         assert!(
             (0.0..=1.0).contains(&frac),
@@ -299,6 +340,25 @@ mod tests {
         assert_eq!(fresh, 13); // round(50 × 0.25)
         e.evaluate_initial(&mut eval);
         e.step(&mut eval);
+    }
+
+    #[test]
+    #[should_panic(expected = "one fitness value per asked genome")]
+    fn tell_with_the_wrong_length_panics() {
+        let mut e = DeEngine::new(3, DeConfig::default());
+        let mut eval = sphere_eval();
+        let genomes = e.ask_initial();
+        let mut fitness = eval(&genomes);
+        fitness.push(0.5);
+        e.tell(&fitness);
+    }
+
+    #[test]
+    #[should_panic(expected = "before asking again")]
+    fn asking_twice_without_a_tell_panics() {
+        let mut e = DeEngine::new(3, DeConfig::default());
+        let _ = e.ask_initial();
+        let _ = e.ask_initial();
     }
 
     #[test]

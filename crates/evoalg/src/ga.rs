@@ -6,6 +6,12 @@
 //! one generation per [`GaEngine::step`] call so the framework layer can
 //! interleave migration (islands), tuning actions and statistics
 //! collection between generations.
+//!
+//! Every generation is an ask/tell pair: [`GaEngine::ask`] breeds the
+//! offspring, the caller scores them however it likes, and
+//! [`GaEngine::tell`] runs the elitist merge. [`GaEngine::step`] is just
+//! `ask → evaluate → tell`, so a caller that scores several engines' asks
+//! in one batch (see [`crate::ask_evaluate_tell`]) takes the same path.
 
 use crate::individual::{Individual, Population};
 use crate::operators::{one_point_crossover, uniform_mutation};
@@ -68,6 +74,56 @@ pub struct GaEngine {
     rng: StdRng,
     generation: u32,
     evaluations: u64,
+    asked: Asked,
+}
+
+/// The batch an engine handed out with `ask`/`ask_initial` and expects
+/// scores for in `tell` (shared by the GA and DE engines).
+#[derive(Debug, Default)]
+pub(crate) enum Asked {
+    /// Nothing outstanding.
+    #[default]
+    Nothing,
+    /// The current population, in member order (initial evaluation and
+    /// re-evaluation after restarts or migrations).
+    Population,
+    /// Bred genomes awaiting their scores: GA offspring or DE trials.
+    Bred(Vec<Vec<f64>>),
+}
+
+impl Asked {
+    /// Takes the outstanding ask out of `slot` for a `tell` of
+    /// `scores` values against a population of `population` members.
+    ///
+    /// # Panics
+    /// Panics when nothing was asked or the score count differs from the
+    /// asked batch.
+    pub(crate) fn take(slot: &mut Asked, population: usize, scores: usize) -> Asked {
+        let asked = std::mem::take(slot);
+        let expected = match &asked {
+            Asked::Nothing => 0,
+            Asked::Population => population,
+            Asked::Bred(genomes) => genomes.len(),
+        };
+        assert!(!matches!(asked, Asked::Nothing), "tell needs a pending ask");
+        assert_eq!(
+            scores, expected,
+            "tell needs one fitness value per asked genome"
+        );
+        asked
+    }
+
+    /// Records a new ask in `slot`.
+    ///
+    /// # Panics
+    /// Panics when the previous ask was never told.
+    pub(crate) fn put(slot: &mut Asked, asked: Asked) {
+        assert!(
+            matches!(slot, Asked::Nothing),
+            "tell the pending batch before asking again"
+        );
+        *slot = asked;
+    }
 }
 
 impl GaEngine {
@@ -103,6 +159,7 @@ impl GaEngine {
             rng,
             generation: 0,
             evaluations: 0,
+            asked: Asked::Nothing,
         }
     }
 
@@ -120,16 +177,33 @@ impl GaEngine {
     /// Evaluates the initial population. Must be called once before
     /// stepping; subsequent calls re-evaluate (used after migrations).
     pub fn evaluate_initial<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
-        let fitness = evaluator.evaluate(&self.population.genomes());
-        self.evaluations += fitness.len() as u64;
-        self.population.assign_fitness(&fitness);
-        self.stats()
+        let genomes = self.ask_initial();
+        let fitness = evaluator.evaluate(&genomes);
+        self.tell(&fitness)
     }
 
     /// Runs one generation: select parents by fitness roulette, produce
     /// `m` offspring, evaluate them, and keep the best `N` of parents ∪
     /// offspring (elitist replacement).
     pub fn step<E: BatchEvaluator>(&mut self, evaluator: &mut E) -> GenStats {
+        let genomes = self.ask();
+        let fitness = evaluator.evaluate(&genomes);
+        self.tell(&fitness)
+    }
+
+    /// The ask half of [`GaEngine::evaluate_initial`]: the current
+    /// population's genomes, in member order.
+    pub fn ask_initial(&mut self) -> Vec<Vec<f64>> {
+        Asked::put(&mut self.asked, Asked::Population);
+        self.population.genomes()
+    }
+
+    /// The ask half of [`GaEngine::step`]: breeds the generation's `m`
+    /// offspring and returns their genomes.
+    ///
+    /// # Panics
+    /// Panics before the population has been evaluated.
+    pub fn ask(&mut self) -> Vec<Vec<f64>> {
         assert!(
             self.population
                 .members()
@@ -138,12 +212,34 @@ impl GaEngine {
             "call evaluate_initial before step"
         );
         let offspring = self.make_offspring();
-        let mut off_pop = Population::from_members(offspring);
-        let fitness = evaluator.evaluate(&off_pop.genomes());
-        self.evaluations += fitness.len() as u64;
-        off_pop.assign_fitness(&fitness);
+        Asked::put(&mut self.asked, Asked::Bred(offspring.clone()));
+        offspring
+    }
 
-        // Elitist replacement over the merged pool.
+    /// The tell half: scores for the pending ask, in its row order. After
+    /// [`GaEngine::ask_initial`] they become the population's fitness;
+    /// after [`GaEngine::ask`] the best `N` of parents ∪ offspring survive
+    /// and the generation counter advances.
+    ///
+    /// # Panics
+    /// Panics without a pending ask, or when `fitness` is not one finite
+    /// value per asked genome.
+    pub fn tell(&mut self, fitness: &[f64]) -> GenStats {
+        let asked = Asked::take(&mut self.asked, self.population.len(), fitness.len());
+        self.evaluations += fitness.len() as u64;
+        if let Asked::Bred(offspring) = asked {
+            self.merge_offspring(offspring, fitness);
+        } else {
+            self.population.assign_fitness(fitness);
+        }
+        self.stats()
+    }
+
+    /// Elitist replacement over parents ∪ scored offspring.
+    fn merge_offspring(&mut self, offspring: Vec<Vec<f64>>, fitness: &[f64]) {
+        let mut off_pop =
+            Population::from_members(offspring.into_iter().map(Individual::new).collect());
+        off_pop.assign_fitness(fitness);
         let parent_scores = self.population.fitness_values();
         let off_scores = off_pop.fitness_values();
         let keep = elitist_merge_indices(&parent_scores, &off_scores, self.config.population_size);
@@ -159,12 +255,11 @@ impl GaEngine {
         }
         self.population = Population::from_members(next);
         self.generation += 1;
-        self.stats()
     }
 
-    /// Generates `m` offspring via roulette selection, one-point crossover
-    /// and uniform mutation (shared with the restart operator tests).
-    fn make_offspring(&mut self) -> Vec<Individual> {
+    /// Generates `m` offspring genomes via roulette selection, one-point
+    /// crossover and uniform mutation.
+    fn make_offspring(&mut self) -> Vec<Vec<f64>> {
         let scores = self.population.fitness_values();
         let mut out = Vec::with_capacity(self.config.offspring);
         while out.len() < self.config.offspring {
@@ -184,9 +279,9 @@ impl GaEngine {
             };
             uniform_mutation(&mut c1, self.config.mutation_rate, &mut self.rng);
             uniform_mutation(&mut c2, self.config.mutation_rate, &mut self.rng);
-            out.push(Individual::new(c1));
+            out.push(c1);
             if out.len() < self.config.offspring {
-                out.push(Individual::new(c2));
+                out.push(c2);
             }
         }
         out
@@ -196,7 +291,8 @@ impl GaEngine {
     /// population-restart tuning operator of ESSIM-DE (\[21\]), shared here
     /// so both engines can use it. Restarted members need re-evaluation,
     /// which the next [`GaEngine::step`] will not do implicitly; call
-    /// [`GaEngine::evaluate_initial`] after restarting.
+    /// [`GaEngine::evaluate_initial`] (or its ask/tell pair) after
+    /// restarting.
     pub fn restart_worst(&mut self, frac: f64) {
         assert!(
             (0.0..=1.0).contains(&frac),
@@ -399,6 +495,23 @@ mod tests {
         let mut engine = GaEngine::new(4, GaConfig::default());
         let mut eval = sphere_eval();
         engine.step(&mut eval);
+    }
+
+    #[test]
+    #[should_panic(expected = "one fitness value per asked genome")]
+    fn tell_with_the_wrong_length_panics() {
+        let mut engine = GaEngine::new(4, GaConfig::default());
+        let mut eval = sphere_eval();
+        engine.evaluate_initial(&mut eval);
+        let offspring = engine.ask();
+        engine.tell(&eval(&offspring[1..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "pending ask")]
+    fn tell_without_an_ask_panics() {
+        let mut engine = GaEngine::new(4, GaConfig::default());
+        engine.tell(&[]);
     }
 
     #[test]

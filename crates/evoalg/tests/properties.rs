@@ -3,6 +3,7 @@
 //! deterministic seed stream (the workspace builds without external
 //! dependencies, so the former proptest strategies are seeded loops).
 
+use evoalg::benchmarks::sphere;
 use evoalg::bestset::BestSet;
 use evoalg::knn::{NoveltyEngine, NoveltyIndex};
 use evoalg::novelty::{
@@ -11,7 +12,7 @@ use evoalg::novelty::{
 };
 use evoalg::operators;
 use evoalg::selection;
-use evoalg::BehaviourMatrix;
+use evoalg::{BehaviourMatrix, DeConfig, DeEngine, GaConfig, GaEngine, GenStats, Population};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -358,5 +359,79 @@ fn elitist_merge_valid() {
         sorted.dedup();
         assert_eq!(sorted.len(), kept.len(), "duplicate indices");
         assert!(kept.iter().all(|&i| i < a.len() + b.len()));
+    }
+}
+
+fn sphere_batch(genomes: &[Vec<f64>]) -> Vec<f64> {
+    genomes.iter().map(|g| sphere(g)).collect()
+}
+
+fn stats_bits(s: GenStats) -> (u32, [u64; 3], u64) {
+    let bits = [s.best_fitness, s.mean_fitness, s.fitness_iqr].map(f64::to_bits);
+    (s.generation, bits, s.evaluations)
+}
+
+fn population_bits(pop: &Population) -> Vec<(Vec<u64>, u64)> {
+    pop.members()
+        .iter()
+        .map(|m| {
+            let genes = m.genes.iter().map(|g| g.to_bits()).collect();
+            (genes, m.fitness.to_bits())
+        })
+        .collect()
+}
+
+/// Drives two identically seeded engines through initial evaluation,
+/// generations and a restart: one with the evaluator-taking calls, one
+/// through `ask`/`tell`. Both engine types expose the same method names.
+macro_rules! assert_ask_tell_matches_step {
+    ($make:expr, $label:expr) => {{
+        let (mut stepped, mut asked) = ($make, $make);
+        let mut eval = sphere_batch;
+        let a = stepped.evaluate_initial(&mut eval);
+        let genomes = asked.ask_initial();
+        let b = asked.tell(&sphere_batch(&genomes));
+        assert_eq!(stats_bits(a), stats_bits(b), "{}: initial", $label);
+        for gen in 0..8 {
+            if gen == 4 {
+                stepped.restart_worst(0.4);
+                asked.restart_worst(0.4);
+                let a = stepped.evaluate_initial(&mut eval);
+                let genomes = asked.ask_initial();
+                let b = asked.tell(&sphere_batch(&genomes));
+                assert_eq!(stats_bits(a), stats_bits(b), "{}: restart", $label);
+            }
+            let a = stepped.step(&mut eval);
+            let genomes = asked.ask();
+            let b = asked.tell(&sphere_batch(&genomes));
+            assert_eq!(stats_bits(a), stats_bits(b), "{}: gen {gen}", $label);
+            assert_eq!(
+                population_bits(stepped.population()),
+                population_bits(asked.population()),
+                "{}: gen {gen}",
+                $label
+            );
+        }
+    }};
+}
+
+/// `ask` + `tell` is bit-identical to `step` / `evaluate_initial`, in the
+/// populations and the `GenStats` alike, for both engines.
+#[test]
+fn ask_tell_is_bit_identical_to_step() {
+    for seed in 0..6 {
+        let ga = GaConfig {
+            population_size: 12,
+            offspring: 10,
+            seed,
+            ..GaConfig::default()
+        };
+        assert_ask_tell_matches_step!(GaEngine::new(6, ga), format!("GA seed {seed}"));
+        let de = DeConfig {
+            population_size: 12,
+            seed,
+            ..DeConfig::default()
+        };
+        assert_ask_tell_matches_step!(DeEngine::new(5, de), format!("DE seed {seed}"));
     }
 }
