@@ -26,7 +26,7 @@
 //!   novelty     N         — novelty-engine sweep: pop × archive × engine (+ BENCH_novelty.json)
 //!   loadgen     L         — protocol-v2 load generation per scheduling policy (+ BENCH_serve_v2.json)
 //!   fusion      F         — cross-session batch fusion vs per-session rounds (+ BENCH_fusion.json)
-//!   landscape   K         — heap vs bucket vs tiled simulation kernels on the XL corpus (+ BENCH_landscape.json, bench_summary.md)
+//!   landscape   K         — heap vs bucket simulation kernels on the XL corpus, serial vs pool (+ BENCH_landscape.json, bench_summary.md)
 //!   serve                 — line-delimited JSON prediction service on stdin/stdout
 //!   lint                  — workspace source lint pass (+ LINT_findings.json)
 //!   audit                 — semantic audit: panic prover, layering DAG, determinism taint (+ AUDIT.json)
@@ -55,10 +55,10 @@
 //! pipeline-driven experiments (results are backend-independent — every
 //! backend produces bit-identical fitness values — so this only changes
 //! wall time; default `serial`); `--kernel` selects the fire-propagation
-//! kernel those experiments simulate with (`heap`, `bucket` or
-//! `tiled[:TILE[xWORKERS]]` — rasters are kernel-independent, so this too
-//! only changes wall time; default `bucket`); `--quick` shrinks the
-//! `workloads` sweep to smoke-test size (the CI configuration).
+//! kernel those experiments simulate with (`heap` or `bucket` — rasters
+//! are kernel-independent, so this too only changes wall time; default
+//! `bucket`); `--quick` shrinks the `workloads` sweep to smoke-test size
+//! (the CI configuration).
 //!
 //! `workloads` additionally writes one `BENCH_<workload>.json` per corpus
 //! workload into `--out`, recording evaluation throughput per backend and
@@ -153,7 +153,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N] [--kernel heap|bucket|tiled[:TILE[xWORKERS]]] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--self-test-v2] [--out DIR]".to_string()
+    "usage: harness <table1|fig1-trace|fig2-kign|fig3-trace|e1-quality|e2-diversity|e3-speedup|e4-throughput|e5-deceptive|e6-tuning|e7-hybrid|e8-ablation|e9-inclusion|e10-noise|workloads|service|novelty|loadgen|fusion|landscape|serve|lint|audit|verify-invariants|all> [--seeds N] [--scale F] [--cases a,b] [--workers 2,4] [--backend serial|worker-pool:N] [--kernel heap|bucket] [--policy round-robin|weighted-fair-share|deadline-first] [--quick] [--fused] [--self-test] [--self-test-v2] [--out DIR]".to_string()
 }
 
 fn emit(args: &Args, id: &str, title: &str, table: &TextTable) {
@@ -390,7 +390,7 @@ fn main() -> ExitCode {
         emit(
             &args,
             "landscape",
-            "K — simulation kernels on the XL landscape corpus (heap vs bucket vs tiled, serial vs pool)",
+            "K — simulation kernels on the XL landscape corpus (heap vs bucket, serial vs pool)",
             &exp::landscape_sweep(args.quick, &args.out),
         );
         ran = true;

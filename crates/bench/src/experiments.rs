@@ -1511,10 +1511,9 @@ pub fn fusion_sweep(quick: bool, out: &std::path::Path) -> TextTable {
 }
 
 /// K — the landscape kernel sweep: reference heap kernel vs the monotone
-/// bucket-queue kernel vs the tiled parallel wavefront kernel on the
-/// 200×200 corpus flagship plus the XL (1000×1000+) tier, single-threaded
-/// and across a scoped worker pool. Kernel bit-identity is asserted in-run
-/// on every workload **and every swept tiled configuration** (per-scenario
+/// bucket-queue kernel on the 200×200 corpus flagship plus the XL
+/// (1000×1000+) tier, single-threaded and across a scoped worker pool.
+/// Kernel bit-identity is asserted in-run on every workload (per-scenario
 /// raster digests over exact f64 bits), and the bucket arena's scratch
 /// footprint is reported against the old eager `rows*cols` heap
 /// preallocation. Writes `BENCH_landscape.json` into `out` — the
@@ -1525,20 +1524,17 @@ pub fn fusion_sweep(quick: bool, out: &std::path::Path) -> TextTable {
 /// single-threaded evals/sec on the two per-cell XL workloads
 /// (`ridge_valley_xl`, `breaks_mosaic_xl`), regresses nowhere (≥ 1× on the
 /// archipelagos), and its XL scratch stays ≥ 4× below the eager baseline.
-/// With ≥ 4 cores the tiled kernel must beat the single-thread bucket
-/// kernel ≥ 2× (best swept config at ≥ 4 workers) on those same two
-/// per-cell XL workloads and regress nowhere else (≥ 1× best config);
-/// on smaller hosts the tiled numbers are recorded unasserted. The
-/// pool-vs-serial backend comparison is recorded always and never gates
-/// (it needs `available_parallelism ≥ 2` to mean anything).
+/// The pool-vs-serial backend comparison is recorded always and never
+/// gates (it needs `available_parallelism ≥ 2` to mean anything).
 ///
 /// `quick` shrinks every workload to ≤ 64 cells per side and trims the
-/// batch and the tiled sweep — digest identity is still asserted on every
-/// path; the perf bars are not (the CI smoke configuration).
+/// batch — digest identity is still asserted on every path; the perf bars
+/// are not (the CI smoke configuration).
 pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
-    use firelib::workload;
+    use firelib::{workload, SimArena};
     use landscape::IgnitionMap;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Mutex;
 
     let specs: Vec<workload::WorkloadSpec> = {
         let mut v = vec![workload::archipelago_large()];
@@ -1552,27 +1548,6 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
     let reps = if quick { 1u32 } else { 3 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.clamp(2, 8);
-
-    // The tiled sweep grid: tile edge × worker count. Quick mode keeps one
-    // cheap configuration per axis (grids are ≤ 64² there, so the sweep
-    // only checks digests); full mode covers the perf-relevant corner
-    // (large tiles, ≥ 4 workers) plus the degenerate 1-worker column that
-    // must match the serial drain exactly.
-    let tile_sizes: Vec<usize> = if quick {
-        vec![16, 64]
-    } else {
-        vec![64, 128, 256]
-    };
-    let tiled_worker_counts: Vec<usize> = if quick {
-        vec![2]
-    } else {
-        [1usize, 2, 4, 8]
-            .into_iter()
-            .filter(|&wk| wk == 1 || wk <= cores.max(2))
-            .collect()
-    };
-    // Tiled perf bars only mean something off CI-class hosts.
-    let tiled_gate = !quick && cores >= 4;
 
     if let Err(e) = std::fs::create_dir_all(out) {
         eprintln!("[warn] could not create {}: {e}", out.display());
@@ -1596,15 +1571,12 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
         "heap_eval_ms",
         "bucket_eval_ms",
         "kernel_x",
-        "tiled_eval_ms",
-        "tiled_x",
-        "tiled_cfg",
         "pool_x",
         "scratch_kb",
         "raster_kb",
     ]);
     let mut json_workloads: Vec<Json> = Vec::new();
-    let mut summary_rows: Vec<[String; 9]> = Vec::new();
+    let mut summary_rows: Vec<[String; 7]> = Vec::new();
     for spec in &specs {
         let xl = workload::xl_names().contains(&spec.name);
         let w = spec.build();
@@ -1674,7 +1646,7 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
         );
 
         // Timed passes on the warmed arenas: best-of-reps full-batch wall.
-        let time_kernel = |kernel: Kernel, arena: &mut firelib::SimArena| -> f64 {
+        let time_kernel = |kernel: Kernel, arena: &mut SimArena| -> f64 {
             let mut best = f64::INFINITY;
             for _ in 0..reps {
                 let sw = Stopwatch::start();
@@ -1706,107 +1678,49 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
         let eager = cells * 16; // BinaryHeap<(Reverse<Time>, u32)> at rows*cols
         drop(heap_arena);
 
-        // Pool backend: the same batch chunked over scoped threads, one
-        // private arena per worker (the worker-pool deployment shape).
-        // Digest identity across backends is asserted; the speedup is
-        // recorded but never gates (single-core hosts run this too).
+        // Pool backend: the same batch chunked over the scoped chunk map,
+        // one private arena per chunk (the worker-pool deployment shape).
+        // The untimed digest pass warms every arena; the timed passes then
+        // skip the raster hashing, so they compare like with like against
+        // the warm serial bucket number. Digest identity across backends
+        // is asserted; the speedup is recorded but never gates
+        // (single-core hosts run this too).
         let chunk = scenarios.len().div_ceil(workers);
-        let mut pool_best = f64::INFINITY;
-        let mut pool_digests: Vec<u64> = Vec::new();
-        for _ in 0..reps {
-            let mut digests = vec![0u64; scenarios.len()];
-            let sw = Stopwatch::start();
-            // audit: allow(layer) — hand-rolled scoped-thread baseline the sweep compares the pool against
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk_scenarios in scenarios.chunks(chunk) {
-                    let sim = &sim;
-                    let w = &w;
-                    // lint: allow(thread-spawn) — the scoped-thread baseline the pool is benchmarked against
-                    handles.push(scope.spawn(move || {
-                        let mut arena = sim.arena();
-                        chunk_scenarios
-                            .iter()
-                            .map(|s| {
-                                digest_map(sim.simulate_arena(s, &w.ignition, t0, dt, &mut arena))
-                            })
-                            .collect::<Vec<u64>>()
-                    }));
-                }
-                let mut off = 0usize;
-                for handle in handles {
-                    let part = handle.join().expect("landscape pool worker panicked");
-                    digests[off..off + part.len()].copy_from_slice(&part);
-                    off += part.len();
-                }
-            });
-            pool_best = pool_best.min(sw.elapsed_ms());
-            pool_digests = digests;
-        }
+        let arenas: Vec<Mutex<SimArena>> = (0..scenarios.len().div_ceil(chunk))
+            .map(|_| Mutex::new(sim.arena()))
+            .collect();
+        let pool_pass = |digest: bool| -> Vec<u64> {
+            parworker::scoped_chunk_map_ranges(workers, scenarios.len(), chunk, |range| {
+                let mut arena = arenas[range.start / chunk]
+                    .lock()
+                    .expect("one chunk per arena");
+                scenarios[range]
+                    .iter()
+                    .map(|s| {
+                        let map = sim.simulate_arena(s, &w.ignition, t0, dt, &mut arena);
+                        if digest {
+                            digest_map(map)
+                        } else {
+                            std::hint::black_box(map);
+                            0
+                        }
+                    })
+                    .collect()
+            })
+        };
         assert_eq!(
-            heap_digests, pool_digests,
+            heap_digests,
+            pool_pass(true),
             "{}: pooled bucket runs diverged from the reference",
             spec.name
         );
-        let pool_x = bucket_ms / pool_best;
-
-        // Tiled sweep: every (tile, workers) configuration first replays
-        // the whole batch with per-scenario digests asserted against the
-        // heap reference (also its warm-up), then runs the timed passes on
-        // the same arena. Dirty-arena reuse across configurations is part
-        // of what this exercises.
-        let mut tiled_arena = sim.arena();
-        let mut tiled_cfg_json: Vec<Json> = Vec::new();
-        // Best (eval ms, tile, workers) over all configs, and over the
-        // ≥ 4-worker configs only (what the XL acceptance bar reads).
-        let mut tiled_best: Option<(f64, usize, usize)> = None;
-        let mut tiled_best_hi: Option<(f64, usize, usize)> = None;
-        for &tile in &tile_sizes {
-            for &wk in &tiled_worker_counts {
-                let kernel = Kernel::Tiled { tile, workers: wk };
-                let digests: Vec<u64> = scenarios
-                    .iter()
-                    .map(|s| {
-                        digest_map(sim.simulate_arena_kernel(
-                            s,
-                            &w.ignition,
-                            t0,
-                            dt,
-                            &mut tiled_arena,
-                            kernel,
-                        ))
-                    })
-                    .collect();
-                assert_eq!(
-                    heap_digests, digests,
-                    "{}: tiled kernel (tile {tile}, {wk} workers) diverged \
-                     from the heap reference",
-                    spec.name
-                );
-                let ms = time_kernel(kernel, &mut tiled_arena);
-                let eps = batch as f64 / (ms / 1000.0);
-                if tiled_best.is_none_or(|(b, _, _)| ms < b) {
-                    tiled_best = Some((ms, tile, wk));
-                }
-                if wk >= 4 && tiled_best_hi.is_none_or(|(b, _, _)| ms < b) {
-                    tiled_best_hi = Some((ms, tile, wk));
-                }
-                tiled_cfg_json.push(
-                    Json::obj()
-                        .field("tile", tile)
-                        .field("workers", wk)
-                        .field("eval_ms", ms / batch as f64)
-                        .field("evals_per_sec", eps)
-                        .field("speedup_vs_bucket", bucket_ms / ms)
-                        .field("digest_identical", true),
-                );
-            }
+        let mut pool_best = f64::INFINITY;
+        for _ in 0..reps {
+            let sw = Stopwatch::start();
+            pool_pass(false);
+            pool_best = pool_best.min(sw.elapsed_ms());
         }
-        let (tiled_ms, tiled_tile, tiled_workers) =
-            tiled_best.expect("tiled sweep covers at least one configuration");
-        let tiled_x = bucket_ms / tiled_ms;
-        let tiled_scratch = tiled_arena.scratch_bytes();
-        drop(tiled_arena);
+        let pool_x = bucket_ms / pool_best;
 
         if !quick {
             match spec.name {
@@ -1834,35 +1748,7 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
                 );
             }
         }
-        if tiled_gate {
-            match spec.name {
-                // The two per-cell XL workloads are where in-simulation
-                // parallelism must pay: ≥ 2× the single-thread bucket
-                // kernel using ≥ 4 workers.
-                "ridge_valley_xl" | "breaks_mosaic_xl" => {
-                    let (hi_ms, hi_tile, hi_wk) =
-                        tiled_best_hi.expect("≥ 4 cores sweeps a ≥ 4-worker configuration");
-                    let hi_x = bucket_ms / hi_ms;
-                    assert!(
-                        hi_x >= 2.0,
-                        "{}: tiled kernel must reach 2x the single-thread bucket \
-                         kernel at >= 4 workers (best {hi_x:.2}x at tile {hi_tile} \
-                         x {hi_wk} workers)",
-                        spec.name
-                    );
-                }
-                // No regression anywhere else, best configuration counted.
-                "archipelago_large" | "archipelago_xl" => assert!(
-                    tiled_x >= 1.0,
-                    "{}: tiled kernel regressed vs single-thread bucket \
-                     ({tiled_x:.2}x at tile {tiled_tile} x {tiled_workers} workers)",
-                    spec.name
-                ),
-                _ => {}
-            }
-        }
 
-        let tiled_cfg = format!("{tiled_tile}x{tiled_workers}w");
         t.row([
             spec.name.to_string(),
             format!("{rows}x{cols}"),
@@ -1870,9 +1756,6 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
             f4(heap_ms / batch as f64),
             f4(bucket_ms / batch as f64),
             f2(kernel_x),
-            f4(tiled_ms / batch as f64),
-            f2(tiled_x),
-            tiled_cfg.clone(),
             f2(pool_x),
             (scratch / 1024).to_string(),
             (raster / 1024).to_string(),
@@ -1884,9 +1767,7 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
             f2(heap_ms / batch as f64),
             f2(bucket_ms / batch as f64),
             f2(kernel_x),
-            f2(tiled_ms / batch as f64),
-            f2(tiled_x),
-            tiled_cfg,
+            f2(pool_x),
         ]);
         json_workloads.push(
             Json::obj()
@@ -1912,20 +1793,6 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
                 )
                 .field("kernel_speedup", kernel_x)
                 .field("digest_identical", true)
-                .field(
-                    "tiled",
-                    Json::obj()
-                        .field("configs", Json::Arr(tiled_cfg_json))
-                        .field(
-                            "best",
-                            Json::obj()
-                                .field("tile", tiled_tile)
-                                .field("workers", tiled_workers)
-                                .field("eval_ms", tiled_ms / batch as f64)
-                                .field("speedup_vs_bucket", tiled_x),
-                        )
-                        .field("peak_scratch_bytes", tiled_scratch),
-                )
                 .field("pool_workers", workers)
                 .field("pool_batch_ms", pool_best)
                 .field("pool_speedup_vs_serial", pool_x)
@@ -1948,24 +1815,23 @@ pub fn landscape_sweep(quick: bool, out: &std::path::Path) -> TextTable {
         .field("cores", cores)
         .field("pool_workers", workers)
         .field("perf_asserted", !quick)
-        .field("tiled_perf_asserted", tiled_gate)
         .field("workloads", Json::Arr(json_workloads));
     write_bench_json(&out.join("BENCH_landscape.json"), &json);
-    write_landscape_summary(out, quick, tiled_gate, cores, &summary_rows);
+    write_landscape_summary(out, quick, cores, workers, &summary_rows);
     t
 }
 
 /// Writes `bench_summary.md` — the committed, human-readable companion of
 /// the gitignored `BENCH_landscape.json`: one markdown row per workload
-/// with per-eval wall times and speedups for all three kernels, so the
-/// repo carries a reviewable perf trail without machine-varying JSON noise
-/// in the diff.
+/// with per-eval wall times and speedups for both kernels and the pooled
+/// batch, so the repo carries a reviewable perf trail without
+/// machine-varying JSON noise in the diff.
 fn write_landscape_summary(
     out: &std::path::Path,
     quick: bool,
-    tiled_gate: bool,
     cores: usize,
-    rows: &[[String; 9]],
+    workers: usize,
+    rows: &[[String; 7]],
 ) {
     let mut md = String::new();
     md.push_str("# Simulation kernel benchmark summary\n\n");
@@ -1973,27 +1839,27 @@ fn write_landscape_summary(
         "Regenerate with `cargo run --release -p ess-benches --bin harness -- \
          landscape` (add `--quick` for the CI smoke configuration). Wall times\n\
          are per evaluation (one full propagation of the workload's first\n\
-         interval), best of the timed repetitions; `×` columns are speedups\n\
-         over the single-thread kernels named in the header. `tiled cfg` is\n\
-         the fastest swept `TILExWORKERSw` configuration. Digest identity of\n\
-         every kernel and every tiled configuration against the heap\n\
-         reference is asserted while the numbers are taken.\n\n",
+         interval), best of the timed repetitions. `bucket × heap` is the\n\
+         single-thread kernel speedup; `pool × bucket` is the whole batch\n\
+         run across the scoped chunk map (one warm arena per chunk) over the\n\
+         same batch on one warm single-thread bucket arena. Digest identity\n\
+         of both kernels and of the pooled batch against the heap reference\n\
+         is asserted while the numbers are taken.\n\n",
     );
     md.push_str(&format!(
-        "Mode: `{}` on {cores} cores — tiled perf bars (≥ 2× on the per-cell \
-         XL pair at ≥ 4 workers, ≥ 1× elsewhere) {}.\n\n",
+        "Mode: `{}` on {cores} cores, pool of {workers} workers — kernel perf \
+         bars (bucket ≥ 3× heap on the per-cell XL pair, ≥ 1× elsewhere) {}.\n\n",
         if quick { "quick" } else { "full" },
-        if tiled_gate {
-            "asserted in-run"
+        if quick {
+            "recorded unasserted"
         } else {
-            "recorded unasserted (quick mode or < 4 cores)"
+            "asserted in-run"
         }
     ));
     md.push_str(
-        "| workload | grid | tier | heap ms | bucket ms | bucket × heap | \
-         tiled ms | tiled × bucket | tiled cfg |\n",
+        "| workload | grid | tier | heap ms | bucket ms | bucket × heap | pool × bucket |\n",
     );
-    md.push_str("|---|---|---|---:|---:|---:|---:|---:|---|\n");
+    md.push_str("|---|---|---|---:|---:|---:|---:|\n");
     for r in rows {
         md.push_str(&format!("| {} |\n", r.join(" | ")));
     }

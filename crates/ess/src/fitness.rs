@@ -29,9 +29,9 @@ pub struct StepContext {
     t0: f64,
     /// End instant (minutes).
     t1: f64,
-    /// Propagation kernel every evaluation on this interval runs — all
-    /// kernels are bit-identical, so this is purely a performance choice
-    /// (e.g. [`Kernel::Tiled`] to put several cores on one XL simulation).
+    /// Propagation kernel every evaluation on this interval runs — the
+    /// heap and bucket kernels are bit-identical, so this is purely a
+    /// performance choice ([`Kernel::Heap`] is the reference oracle).
     kernel: Kernel,
 }
 

@@ -84,45 +84,13 @@ pub enum Kernel {
     /// Monotone bucket-queue wavefront sweep with active-front bounding —
     /// the default hot path; bit-identical to [`Kernel::Heap`].
     Bucket,
-    /// Multi-core tiled wavefront: the bucket queue is processed in
-    /// epoch-synchronized bucket levels, each epoch's pops partitioned into
-    /// spatial tiles and drained concurrently into per-tile candidate
-    /// outboxes; a sequential merge then applies every candidate in the
-    /// exact global pop order, so the raster stays bit-identical to
-    /// [`Kernel::Heap`] (see [`FireSim::run_tiled`] for the argument).
-    Tiled {
-        /// Spatial tile edge in cells (window partition granularity);
-        /// must be non-zero.
-        tile: usize,
-        /// Drain worker threads; `0` means auto
-        /// (`std::thread::available_parallelism`).
-        workers: usize,
-    },
-}
-
-/// Default spatial tile edge for [`Kernel::Tiled`] when a spec string does
-/// not pin one: big enough that a tile's pops share cache lines, small
-/// enough that an XL fire front spans many tiles.
-pub const DEFAULT_TILE: usize = 128;
-
-impl Kernel {
-    /// The tiled kernel with the default tile size and auto worker count —
-    /// the spelling `"tiled"` parses to.
-    pub fn tiled_auto() -> Self {
-        Kernel::Tiled {
-            tile: DEFAULT_TILE,
-            workers: 0,
-        }
-    }
 }
 
 impl std::fmt::Display for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
+        match self {
             Kernel::Heap => write!(f, "heap"),
             Kernel::Bucket => write!(f, "bucket"),
-            Kernel::Tiled { tile, workers: 0 } => write!(f, "tiled:{tile}"),
-            Kernel::Tiled { tile, workers } => write!(f, "tiled:{tile}x{workers}"),
         }
     }
 }
@@ -133,11 +101,7 @@ pub struct ParseKernelError(String);
 
 impl std::fmt::Display for ParseKernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid kernel '{}' (expected heap | bucket | tiled[:TILE[xWORKERS]])",
-            self.0
-        )
+        write!(f, "invalid kernel '{}' (expected heap | bucket)", self.0)
     }
 }
 
@@ -146,37 +110,15 @@ impl std::error::Error for ParseKernelError {}
 impl std::str::FromStr for Kernel {
     type Err = ParseKernelError;
 
-    /// Parses `heap`, `bucket`, `tiled`, `tiled:TILE` and
-    /// `tiled:TILExWORKERS` (`WORKERS = 0` meaning auto), matching the
-    /// `Display` form so kernel names printed in reports round-trip back
-    /// through configs.
+    /// Parses `heap` or `bucket` (case-insensitive, surrounding whitespace
+    /// ignored), matching the `Display` form so kernel names printed in
+    /// reports round-trip back through configs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let spec = s.trim();
-        match spec.to_ascii_lowercase().as_str() {
-            "heap" => return Ok(Kernel::Heap),
-            "bucket" => return Ok(Kernel::Bucket),
-            "tiled" => return Ok(Kernel::tiled_auto()),
-            _ => {}
+        match s.trim().to_ascii_lowercase().as_str() {
+            "heap" => Ok(Kernel::Heap),
+            "bucket" => Ok(Kernel::Bucket),
+            _ => Err(ParseKernelError(s.into())),
         }
-        let args = spec
-            .strip_prefix("tiled:")
-            .ok_or_else(|| ParseKernelError(s.into()))?;
-        let (tile_s, workers_s) = match args.split_once('x') {
-            Some((t, w)) => (t, Some(w)),
-            None => (args, None),
-        };
-        let tile: usize = tile_s
-            .trim()
-            .parse()
-            .map_err(|_| ParseKernelError(s.into()))?;
-        if tile == 0 {
-            return Err(ParseKernelError(s.into()));
-        }
-        let workers: usize = match workers_s {
-            Some(w) => w.trim().parse().map_err(|_| ParseKernelError(s.into()))?,
-            None => 0,
-        };
-        Ok(Kernel::Tiled { tile, workers })
     }
 }
 
@@ -185,18 +127,6 @@ impl std::str::FromStr for Kernel {
 /// reset in O(`BUCKETS`) per run, which is negligible against any real
 /// sweep.
 const BUCKETS: usize = 2048;
-
-/// Minimum epoch size (frontier entries) the tiled kernel aims for when it
-/// bundles consecutive bucket levels into one drain/merge epoch: big
-/// enough to amortize the scoped fork/join over real relaxation work,
-/// small enough that in-epoch cascades (arrivals landing inside the epoch's
-/// own bucket span, which the sequential merge must relax itself) stay a
-/// small fraction of the pops.
-const TILE_GRAIN: usize = 4096;
-
-/// Epochs smaller than this drain inline on the calling thread — forking
-/// workers for a handful of pops costs more than it buys.
-const TILE_INLINE: usize = 1024;
 
 /// Monotone bucket queue (Dial's algorithm) over the arrival-time horizon
 /// `[t0, t0 + duration]`, with one twist that buys exactness: the bucket
@@ -342,49 +272,6 @@ impl BucketQueue {
         Some(top)
     }
 
-    /// Tiled-kernel entry point: queues `(t, idx)` for a *future* epoch
-    /// without touching the drain mini-heap. The tiled kernel only calls
-    /// this for arrivals quantizing past the current epoch's last bucket
-    /// (in-epoch arrivals go to the merge cascade instead), so the entry
-    /// always lands at or ahead of the cursor.
-    // lint: no_alloc
-    #[inline]
-    fn stage(&mut self, t: f64, idx: u32) {
-        let b = self.bucket_of(t);
-        debug_assert!(b >= self.cursor, "staged entry targets a drained epoch");
-        self.len += 1;
-        self.buckets[b].push((t, idx));
-    }
-
-    /// Tiled-kernel epoch extraction: moves every entry of the next run of
-    /// non-empty buckets into `into` (unordered) until at least `grain`
-    /// entries are taken or the queue empties, and returns the index of the
-    /// last bucket taken. Entries staged afterwards must quantize past that
-    /// bucket. Returns `None` when the queue is empty.
-    // lint: no_alloc
-    fn take_levels(&mut self, grain: usize, into: &mut Vec<(f64, u32)>) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        into.clear();
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-            debug_assert!(self.cursor < BUCKETS, "bucket queue lost entries");
-        }
-        let mut k = self.cursor;
-        loop {
-            let taken = self.buckets[k].len();
-            into.append(&mut self.buckets[k]);
-            self.len -= taken;
-            if into.len() >= grain || self.len == 0 || k + 1 == BUCKETS {
-                break;
-            }
-            k += 1;
-        }
-        self.cursor = k + 1;
-        Some(k)
-    }
-
     /// Heap bytes currently held across all bucket storage.
     fn bytes(&self) -> usize {
         let entry = std::mem::size_of::<(f64, u32)>();
@@ -442,7 +329,7 @@ enum Dirty {
 /// Restores the all-`UNIGNITED` invariant of `out` by resetting exactly
 /// what the previous run wrote: nothing for a fresh raster, the recorded
 /// per-row spans (plus strays) after a span-tracked run, or a full clear
-/// after a reference-kernel run. Shared by the bucket and tiled kernels.
+/// after a reference-kernel run.
 // lint: no_alloc
 fn reset_raster(
     dirty: &mut Dirty,
@@ -470,72 +357,6 @@ fn reset_raster(
     }
     stray.clear();
     *dirty = Dirty::Clean;
-}
-
-/// One tile's share of a tiled-kernel epoch drain: relaxes the tile's pops
-/// (already in reference pop order) against a *read-only* snapshot of the
-/// arrival raster, writing surviving candidates into the tile outbox.
-///
-/// Two pre-filters keep the outbox small, and both are sound because
-/// arrival times only ever decrease: an entry stale *now* (`t >
-/// out[idx] + SMIDGEN`) can never become live by apply time, and a
-/// candidate already beaten by the raster (`arrival >= out[n] - SMIDGEN`)
-/// only falls further behind as `out[n]` shrinks. The converse directions
-/// are NOT stable, which is why the sequential merge re-checks both
-/// conditions against the live raster before every write.
-// lint: no_alloc
-#[allow(clippy::too_many_arguments)]
-fn drain_tile(
-    ts: &mut TileScratch,
-    entries: &[(u32, f64, u32)],
-    out: &IgnitionMap,
-    rows: usize,
-    cols: usize,
-    cell_ft: f64,
-    t_end: f64,
-    resolve_table: &impl Fn(usize, usize, usize) -> [f64; 8],
-    burnable_at: &impl Fn(usize) -> bool,
-) {
-    ts.head = 0;
-    ts.groups.clear();
-    for &(_, t, idx) in entries {
-        let ci = idx as usize;
-        let (r, c) = (ci / cols, ci % cols);
-        if t > out.time(r, c) + SMIDGEN {
-            continue; // stale entry — stays stale, safe to drop here
-        }
-        let table = resolve_table(ci, r, c);
-        let mut g = PopGroup {
-            t,
-            idx,
-            len: 0,
-            cand: [(0.0, 0); 8],
-        };
-        for (dir, &(dr, dc, dist_factor)) in landscape::NEIGHBOUR_OFFSETS.iter().enumerate() {
-            let (nr, nc) = (r as isize + dr, c as isize + dc);
-            if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
-                continue;
-            }
-            let (nr, nc) = (nr as usize, nc as usize);
-            let ros = table[dir];
-            if ros <= SMIDGEN {
-                continue;
-            }
-            let arrival = t + dist_factor * cell_ft / ros;
-            if arrival > t_end || arrival >= out.time(nr, nc) - SMIDGEN {
-                continue;
-            }
-            let nidx = nr * cols + nc;
-            if !burnable_at(nidx) {
-                continue;
-            }
-            g.cand[g.len as usize] = (arrival, nidx as u32);
-            g.len += 1;
-        }
-        if g.len > 0 {
-            ts.groups.push(g);
-        }
-    }
 }
 
 /// The worker-owned simulation arena: every buffer the propagation engine
@@ -582,47 +403,9 @@ pub struct SimArena {
     stray: Vec<u32>,
     /// What the next run must reset before writing.
     dirty: Dirty,
-    /// Tiled-kernel per-tile drain scratch, one slot per *active* tile of
-    /// the current epoch (high-water sized; tiles with no pops cost
-    /// nothing).
-    tiles: Vec<TileScratch>,
-    /// Tiled-kernel epoch buffer: the entries taken from the bucket queue
-    /// for the level currently being drained.
-    epoch: Vec<(f64, u32)>,
-    /// Tiled-kernel tile-keyed epoch entries `(tile, t, idx)`, sorted by
-    /// `(tile, pop order)` so each tile's pops form one contiguous run.
-    keyed: Vec<(u32, f64, u32)>,
-    /// Tiled-kernel `(start, end)` ranges into the sorted epoch buffer,
-    /// one per active tile.
-    tile_ranges: Vec<(u32, u32)>,
-    /// Tiled-kernel k-way merge frontier over tile outbox heads and
-    /// in-epoch cascade entries, in reference pop order. The third field is
-    /// the source tile slot (`u32::MAX` marks a cascade entry).
-    merge: BinaryHeap<(Reverse<Time>, u32, u32)>,
     /// The arrival raster of the most recent evaluation; allocated on
     /// first use.
     out: Option<IgnitionMap>,
-}
-
-/// One deferred pop of the tiled kernel: the `(t, idx)` entry itself plus
-/// the surviving relaxation candidates precomputed during the parallel
-/// drain. Candidate arrivals are pure functions of `(t, spread table,
-/// geometry)`, so they can be computed away from the raster; every
-/// raster-dependent decision is re-checked at apply time.
-#[derive(Debug, Clone, Copy, Default)]
-struct PopGroup {
-    t: f64,
-    idx: u32,
-    len: u32,
-    cand: [(f64, u32); 8],
-}
-
-/// Per-tile drain state of the tiled kernel: the outbox of candidate
-/// groups (in pop order) and the merge cursor into it.
-#[derive(Debug, Clone, Default)]
-struct TileScratch {
-    groups: Vec<PopGroup>,
-    head: usize,
 }
 
 /// Scratch for the fully heterogeneous (per-cell) spread path, laid out as
@@ -691,11 +474,6 @@ impl SimArena {
             span_hi: Vec::new(),
             stray: Vec::new(),
             dirty: Dirty::Clean,
-            tiles: Vec::new(),
-            epoch: Vec::new(),
-            keyed: Vec::new(),
-            tile_ranges: Vec::new(),
-            merge: BinaryHeap::new(),
             out: None,
         }
     }
@@ -756,17 +534,6 @@ impl SimArena {
                 + self.stray.capacity()
                 + self.seeds.capacity())
                 * size_of::<u32>()
-            + self.tiles.capacity() * size_of::<TileScratch>()
-            + self
-                .tiles
-                .iter()
-                .map(|t| t.groups.capacity())
-                .sum::<usize>()
-                * size_of::<PopGroup>()
-            + self.epoch.capacity() * size_of::<(f64, u32)>()
-            + self.keyed.capacity() * size_of::<(u32, f64, u32)>()
-            + self.tile_ranges.capacity() * size_of::<(u32, u32)>()
-            + self.merge.capacity() * size_of::<(Reverse<Time>, u32, u32)>()
     }
 
     /// Heap bytes held by the arrival raster (0 until the first run).
@@ -936,24 +703,27 @@ impl FireSim {
         cap
     }
 
-    /// The wind/slope half of the spread math over arbitrary SoA slices:
-    /// `out[i]` becomes the directional table of the cell whose inputs sit
-    /// at index `i`. The slice form is what lets the parallel window
-    /// gather hand disjoint band sub-slices of the same buffers to
-    /// concurrent workers.
+    /// The wind/slope half of the spread math, one linear pass over the
+    /// gathered SoA buffers: `scratch.per_cell[i]` becomes the directional
+    /// table of the cell whose inputs sit at index `i`.
     // lint: no_alloc
-    #[allow(clippy::too_many_arguments)]
-    fn spread_kernel_into(
-        codes: &[u8],
-        steep: &[f64],
-        aspect: &[f64],
-        wind_fpm: &[f64],
-        wind_az: &[f64],
+    fn spread_kernel(
+        scratch: &mut SpreadScratch,
         beds: &[FuelBed],
         base: &[(f64, f64); 14],
-        out: &mut [[f64; 8]],
+        n: usize,
     ) {
-        for (idx, slot) in out.iter_mut().enumerate() {
+        let SpreadScratch {
+            per_cell,
+            codes,
+            steep,
+            aspect,
+            wind_fpm,
+            wind_az,
+        } = scratch;
+        per_cell.clear();
+        per_cell.resize(n, [0.0; 8]);
+        for (idx, slot) in per_cell.iter_mut().enumerate() {
             let code = codes[idx] as usize;
             // Unburnable beds hoist to `(0.0, 0.0)`, so the `ros0` guard
             // covers both the unburnable and the extinguished case — the
@@ -977,38 +747,6 @@ impl FireSim {
             );
             *slot = table;
         }
-    }
-
-    /// The wind/slope half of the spread math, one linear pass over the
-    /// gathered SoA buffers: `scratch.per_cell[i]` becomes the directional
-    /// table of the cell whose inputs sit at index `i`.
-    // lint: no_alloc
-    fn spread_kernel(
-        scratch: &mut SpreadScratch,
-        beds: &[FuelBed],
-        base: &[(f64, f64); 14],
-        n: usize,
-    ) {
-        let SpreadScratch {
-            per_cell,
-            codes,
-            steep,
-            aspect,
-            wind_fpm,
-            wind_az,
-        } = scratch;
-        per_cell.clear();
-        per_cell.resize(n, [0.0; 8]);
-        Self::spread_kernel_into(
-            &codes[..n],
-            &steep[..n],
-            &aspect[..n],
-            &wind_fpm[..n],
-            &wind_az[..n],
-            beds,
-            base,
-            per_cell,
-        );
     }
 
     /// Fills the per-cell directional-spread tables for a fully
@@ -1098,7 +836,11 @@ impl FireSim {
     /// full-raster gather uses on the same cell (the loops walk per-row
     /// sub-slices of the same layers), so the window tables are
     /// bit-identical to the corresponding full-raster entries.
+    // Out of line on purpose: inlined into its one caller, this cold
+    // gather swelled the bucket kernel's frame and slowed 32×32
+    // simulations by about 16% (same-process A/B on a 2-core x86 host).
     // lint: no_alloc
+    #[inline(never)]
     fn fill_per_cell_window(
         &self,
         scenario: &Scenario,
@@ -1182,161 +924,6 @@ impl FireSim {
         }
 
         Self::spread_kernel(scratch, &self.beds, base, n);
-    }
-
-    /// Parallel variant of [`FireSim::fill_per_cell_window`]: the window is
-    /// split into contiguous row bands, and each band gathers its inputs
-    /// and runs the spread kernel into *disjoint sub-slices* of the shared
-    /// SoA buffers concurrently. Every cell's value is produced by the
-    /// exact expression the serial gather uses (cells are independent), so
-    /// the filled tables are bit-identical to the serial fill — pinned by
-    /// the `parallel_window_fill_matches_serial` test. Falls back to the
-    /// serial path when one worker or a small window makes bands pointless.
-    fn fill_per_cell_window_par(
-        &self,
-        scenario: &Scenario,
-        scratch: &mut SpreadScratch,
-        win: &Window,
-        base: &[(f64, f64); 14],
-        workers: usize,
-    ) {
-        let n = win.cells();
-        if workers <= 1 || n < 16_384 || win.rows < 2 {
-            return self.fill_per_cell_window(scenario, scratch, win, base);
-        }
-        let t = &*self.terrain;
-        let cols = t.cols();
-
-        let SpreadScratch {
-            per_cell,
-            codes,
-            steep,
-            aspect,
-            wind_fpm,
-            wind_az,
-        } = scratch;
-        codes.clear();
-        codes.resize(n, 0);
-        steep.clear();
-        steep.resize(n, 0.0);
-        aspect.clear();
-        aspect.resize(n, 0.0);
-        wind_fpm.clear();
-        wind_fpm.resize(n, 0.0);
-        wind_az.clear();
-        wind_az.resize(n, 0.0);
-        per_cell.clear();
-        per_cell.resize(n, [0.0; 8]);
-
-        /// One row band's disjoint view of the gather buffers.
-        struct Band<'a> {
-            wr0: usize,
-            codes: &'a mut [u8],
-            steep: &'a mut [f64],
-            aspect: &'a mut [f64],
-            wind_fpm: &'a mut [f64],
-            wind_az: &'a mut [f64],
-            per_cell: &'a mut [[f64; 8]],
-        }
-
-        let nbands = (workers * 4).min(win.rows);
-        let band_rows = win.rows.div_ceil(nbands);
-        let mut bands: Vec<Band<'_>> = Vec::with_capacity(nbands);
-        {
-            let (mut rc, mut rs, mut ra, mut rwf, mut rwa, mut rp) = (
-                &mut codes[..],
-                &mut steep[..],
-                &mut aspect[..],
-                &mut wind_fpm[..],
-                &mut wind_az[..],
-                &mut per_cell[..],
-            );
-            let mut wr0 = 0;
-            while wr0 < win.rows {
-                let rows_here = band_rows.min(win.rows - wr0);
-                let cut = rows_here * win.cols;
-                let (bc, tc) = rc.split_at_mut(cut);
-                let (bs, ts) = rs.split_at_mut(cut);
-                let (ba, ta) = ra.split_at_mut(cut);
-                let (bwf, twf) = rwf.split_at_mut(cut);
-                let (bwa, twa) = rwa.split_at_mut(cut);
-                let (bp, tp) = rp.split_at_mut(cut);
-                (rc, rs, ra, rwf, rwa, rp) = (tc, ts, ta, twf, twa, tp);
-                bands.push(Band {
-                    wr0,
-                    codes: bc,
-                    steep: bs,
-                    aspect: ba,
-                    wind_fpm: bwf,
-                    wind_az: bwa,
-                    per_cell: bp,
-                });
-                wr0 += rows_here;
-            }
-        }
-
-        let fuel = t.fuel_layer().map(|g| g.as_slice());
-        let slope = t.slope_layer().map(|g| g.as_slice());
-        let aspect_l = t.aspect_layer().map(|g| g.as_slice());
-        let wind_l = t.wind_layer().map(|(f, o)| (f.as_slice(), o.as_slice()));
-        let beds = &self.beds;
-        parworker::scoped_for_each_mut(workers, &mut bands, 1, |_, band| {
-            let rows_here = band.codes.len() / win.cols;
-            for br in 0..rows_here {
-                let off = (win.r0 + band.wr0 + br) * cols + win.c0;
-                let dst = br * win.cols..(br + 1) * win.cols;
-                match fuel {
-                    Some(s) => band.codes[dst.clone()].copy_from_slice(&s[off..off + win.cols]),
-                    None => band.codes[dst.clone()].fill(scenario.model),
-                }
-                match slope {
-                    Some(s) => {
-                        for (v, &d) in band.steep[dst.clone()]
-                            .iter_mut()
-                            .zip(&s[off..off + win.cols])
-                        {
-                            *v = d.to_radians().tan();
-                        }
-                    }
-                    None => band.steep[dst.clone()].fill(scenario.slope_deg.to_radians().tan()),
-                }
-                match aspect_l {
-                    Some(s) => band.aspect[dst.clone()].copy_from_slice(&s[off..off + win.cols]),
-                    None => band.aspect[dst.clone()].fill(scenario.aspect_deg),
-                }
-                match wind_l {
-                    Some((fs, os)) => {
-                        for (v, &f) in band.wind_fpm[dst.clone()]
-                            .iter_mut()
-                            .zip(&fs[off..off + win.cols])
-                        {
-                            *v = (scenario.wind_speed_mph * f) * crate::MPH_TO_FPM;
-                        }
-                        for (v, &o) in band.wind_az[dst.clone()]
-                            .iter_mut()
-                            .zip(&os[off..off + win.cols])
-                        {
-                            *v = normalize_azimuth(scenario.wind_dir_deg + o);
-                        }
-                    }
-                    None => {
-                        band.wind_fpm[dst.clone()]
-                            .fill(scenario.wind_speed_mph * crate::MPH_TO_FPM);
-                        band.wind_az[dst.clone()].fill(scenario.wind_dir_deg);
-                    }
-                }
-            }
-            Self::spread_kernel_into(
-                band.codes,
-                band.steep,
-                band.aspect,
-                band.wind_fpm,
-                band.wind_az,
-                beds,
-                base,
-                band.per_cell,
-            );
-        });
     }
 
     /// Lazy single-cell fallback for bucket-kernel pops that land outside
@@ -1481,9 +1068,6 @@ impl FireSim {
         );
         match kernel {
             Kernel::Bucket => self.run_bucket(scenario, initial, t0, duration, arena),
-            Kernel::Tiled { tile, workers } => {
-                self.run_tiled(scenario, initial, t0, duration, arena, tile, workers)
-            }
             Kernel::Heap => {
                 let SimArena {
                     spread,
@@ -1862,388 +1446,6 @@ impl FireSim {
                     stray.push(nidx as u32);
                 }
                 queue.push(arrival, nidx as u32);
-            }
-        }
-    }
-
-    /// The tiled parallel wavefront sweep behind [`Kernel::Tiled`]:
-    /// multi-core propagation *inside* a single simulation, bit-identical
-    /// to [`FireSim::run_dijkstra`] by construction.
-    ///
-    /// The bucket queue is processed in **epochs** — runs of consecutive
-    /// bucket levels bundled until at least [`TILE_GRAIN`] frontier entries
-    /// are in hand. Each epoch runs in two phases:
-    ///
-    /// 1. **Parallel drain** (defer-all): the epoch's entries are grouped
-    ///    by spatial tile (`tile × tile` blocks of the active window, pop
-    ///    order within each tile) and the tiles drain concurrently via
-    ///    [`parworker::scoped_for_each_mut`]. A drain never writes the
-    ///    raster: it precomputes each pop's candidate arrivals — pure
-    ///    functions of `(t, spread table, geometry)` — into a per-tile
-    ///    outbox ([`drain_tile`]).
-    /// 2. **Sequential merge**: a k-way merge over the tile outboxes
-    ///    replays the candidate groups in the *exact global pop order* of
-    ///    the reference heap (ascending time, ties by descending index),
-    ///    re-checking staleness against the live raster before every
-    ///    write. Arrivals that quantize past the epoch's last bucket are
-    ///    staged back into the queue; arrivals landing *inside* the epoch
-    ///    (in-epoch cascades) are pushed into the same merge frontier and
-    ///    relaxed fully by the merge itself, exactly where the heap would
-    ///    pop them.
-    ///
-    /// **Why this is exact.** The merge applies writes in the same strict
-    /// `(time, index)` total order the reference heap realizes, and every
-    /// apply re-checks the raster-dependent conditions at that point, so
-    /// by induction each apply sees the raster in precisely the state the
-    /// heap would have at the corresponding pop — every relaxation
-    /// decision, every `SMIDGEN` comparison, every `f64` write is
-    /// literally identical. The drain's pre-filters discard only entries
-    /// the heap would also discard (see [`drain_tile`]); candidate
-    /// *values* are raster-independent, so computing them early and in
-    /// parallel changes nothing. Epoch boundaries are a pure scheduling
-    /// choice — any partition of the pop sequence yields the same raster —
-    /// which is what lets the kernel bundle levels adaptively. The
-    /// `kernel_equivalence` property suite and the in-run digest checks of
-    /// `harness landscape` pin this with exact raster-bit comparisons.
-    #[allow(clippy::too_many_arguments)]
-    fn run_tiled(
-        &self,
-        scenario: &Scenario,
-        initial: &FireLine,
-        t0: f64,
-        duration: f64,
-        arena: &mut SimArena,
-        tile: usize,
-        workers: usize,
-    ) {
-        assert!(tile > 0, "tile size must be non-zero");
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
-        };
-        let rows = self.terrain.rows();
-        let cols = self.terrain.cols();
-        assert_eq!(
-            (initial.rows(), initial.cols()),
-            (rows, cols),
-            "initial fire line shape mismatch"
-        );
-        assert!(
-            t0.is_finite() && t0 >= 0.0,
-            "t0 must be a non-negative instant"
-        );
-        assert!(
-            duration.is_finite() && duration > 0.0,
-            "duration must be positive"
-        );
-
-        let SimArena {
-            spread,
-            per_fuel,
-            queue,
-            seeds,
-            span_lo,
-            span_hi,
-            stray,
-            dirty,
-            tiles,
-            epoch,
-            keyed,
-            tile_ranges,
-            merge,
-            out,
-            ..
-        } = arena;
-        let out = out.get_or_insert_with(|| IgnitionMap::unignited(rows, cols));
-        reset_raster(dirty, out, span_lo, span_hi, stray, cols);
-
-        let t_end = t0 + duration;
-        let cell_ft = self.terrain.cell_size_ft();
-
-        let fuel_slice = self.terrain.fuel_layer().map(|g| g.as_slice());
-        let scenario_burnable = fuel_slice.is_none() && self.beds[scenario.model as usize].burnable;
-        let burnable_at = |idx: usize| -> bool {
-            match fuel_slice {
-                Some(f) => self.beds[f[idx] as usize].burnable,
-                None => scenario_burnable,
-            }
-        };
-
-        // Seeds + bounding box, exactly as the bucket kernel.
-        seeds.clear();
-        let (mut br0, mut bc0, mut br1, mut bc1) = (usize::MAX, usize::MAX, 0usize, 0usize);
-        for (idx, &lit) in initial.mask().as_slice().iter().enumerate() {
-            if !lit || !burnable_at(idx) {
-                continue;
-            }
-            seeds.push(idx as u32);
-            let (r, c) = (idx / cols, idx % cols);
-            br0 = br0.min(r);
-            bc0 = bc0.min(c);
-            br1 = br1.max(r);
-            bc1 = bc1.max(c);
-        }
-        if seeds.is_empty() {
-            return; // nothing written; the raster stays clean
-        }
-
-        // Active-front window, same bound and inflation as the bucket
-        // kernel (see `run_bucket` for the soundness argument).
-        let reach = {
-            let cap = self.spread_rate_bound(scenario);
-            if cap <= SMIDGEN {
-                0
-            } else {
-                let cells = (cap * duration / cell_ft * (1.0 + 1e-9)).ceil() + 2.0;
-                cells.min(rows.max(cols) as f64) as usize
-            }
-        };
-        let win = {
-            let r0 = br0.saturating_sub(reach);
-            let c0 = bc0.saturating_sub(reach);
-            let r1 = (br1 + reach).min(rows - 1);
-            let c1 = (bc1 + reach).min(cols - 1);
-            Window {
-                r0,
-                c0,
-                rows: r1 - r0 + 1,
-                cols: c1 - c0 + 1,
-            }
-        };
-
-        span_lo.clear();
-        span_lo.resize(win.rows, u32::MAX);
-        span_hi.clear();
-        span_hi.resize(win.rows, 0);
-
-        // Table resolution mirrors the bucket kernel; the per-cell gather
-        // is the one place tiling parallelizes *outside* the sweep (row
-        // bands, bit-identical to the serial fill).
-        let mut percell_base: Option<[(f64, f64); 14]> = None;
-        let tables: Tables<'_> = if !self.terrain.has_overrides() {
-            Tables::Uniform(self.cell_spread(0, 0, scenario).compass_ros())
-        } else if self.terrain.fuel_is_only_override() {
-            let moisture = scenario.moisture();
-            for (code, table) in per_fuel.iter_mut().enumerate() {
-                *table = self.fuel_table(code, scenario, &moisture);
-            }
-            let fuel = self
-                .terrain
-                .fuel_layer()
-                // audit: allow(panic) — fuel_is_only_override() just returned true, which requires a fuel layer
-                .expect("fuel_is_only_override implies a fuel layer")
-                .as_slice();
-            Tables::PerFuel(per_fuel, fuel)
-        } else {
-            let moisture = scenario.moisture();
-            let base = self.hoisted_base(&moisture);
-            self.fill_per_cell_window_par(scenario, spread, &win, &base, workers);
-            percell_base = Some(base);
-            Tables::PerCell(&spread.per_cell)
-        };
-        let resolve_table = |idx: usize, r: usize, c: usize| -> [f64; 8] {
-            match &tables {
-                Tables::Uniform(table) => *table,
-                Tables::PerFuel(by_code, fuel) => by_code[fuel[idx] as usize],
-                Tables::PerCell(cells) => {
-                    if win.contains(r, c) {
-                        cells[win.local(r, c)]
-                    } else {
-                        self.cell_table_at(
-                            r,
-                            c,
-                            scenario,
-                            // audit: allow(panic) — percell_base is always set by the PerCell branch that selects this closure
-                            percell_base.as_ref().expect("per-cell mode keeps the base"),
-                        )
-                    }
-                }
-            }
-        };
-
-        queue.reset(t0, duration);
-        for &sidx in seeds.iter() {
-            let (r, c) = (sidx as usize / cols, sidx as usize % cols);
-            out.set_time(r, c, t0);
-            // Seeds are inside the bounding box, hence inside the window.
-            let wr = r - win.r0;
-            span_lo[wr] = span_lo[wr].min(c as u32);
-            span_hi[wr] = span_hi[wr].max(c as u32);
-            queue.stage(t0, sidx);
-        }
-        *dirty = Dirty::Spans {
-            r0: win.r0,
-            rows: win.rows,
-        };
-
-        // Tile ownership of a cell: its `tile × tile` block of the active
-        // window, strays clamped to the nearest window cell (deterministic
-        // and cheap; strays are a floating-point-slack corner case).
-        let tiles_x = win.cols.div_ceil(tile);
-        let tile_of = |idx: u32| -> u32 {
-            let (r, c) = ((idx as usize) / cols, (idx as usize) % cols);
-            let wr = r.clamp(win.r0, win.r0 + win.rows - 1) - win.r0;
-            let wc = c.clamp(win.c0, win.c0 + win.cols - 1) - win.c0;
-            ((wr / tile) * tiles_x + wc / tile) as u32
-        };
-        // Merge-frontier source marker for in-epoch cascade entries.
-        const CASCADE: u32 = u32::MAX;
-
-        // The realized apply order is the kernel-equivalence contract:
-        // ascending time, ties broken by larger cell index, across epoch
-        // boundaries too (a later bucket strictly implies a later time).
-        // Audited in debug builds.
-        #[cfg(debug_assertions)]
-        let mut prev_pop: Option<(f64, u32)> = None;
-        while let Some(k_end) = queue.take_levels(TILE_GRAIN, epoch) {
-            // Group the epoch by (tile, pop order): one sorted keyed pass
-            // so the comparator stays division-free.
-            keyed.clear();
-            keyed.extend(epoch.iter().map(|&(t, idx)| (tile_of(idx), t, idx)));
-            keyed.sort_unstable_by(|a, b| {
-                a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(b.2.cmp(&a.2))
-            });
-            tile_ranges.clear();
-            let mut start = 0usize;
-            for i in 1..=keyed.len() {
-                if i == keyed.len() || keyed[i].0 != keyed[start].0 {
-                    tile_ranges.push((start as u32, i as u32));
-                    start = i;
-                }
-            }
-            let n_active = tile_ranges.len();
-            if tiles.len() < n_active {
-                tiles.resize_with(n_active, TileScratch::default);
-            }
-
-            // Phase 1 — parallel drain into per-tile outboxes. Reads the
-            // raster, never writes it. Tiny epochs drain inline.
-            {
-                let out_r: &IgnitionMap = out;
-                let entries: &[(u32, f64, u32)] = keyed;
-                let ranges_r: &[(u32, u32)] = tile_ranges;
-                let eff_workers = if epoch.len() < TILE_INLINE {
-                    1
-                } else {
-                    workers
-                };
-                parworker::scoped_for_each_mut(eff_workers, &mut tiles[..n_active], 1, |i, ts| {
-                    let (s, e) = ranges_r[i];
-                    drain_tile(
-                        ts,
-                        &entries[s as usize..e as usize],
-                        out_r,
-                        rows,
-                        cols,
-                        cell_ft,
-                        t_end,
-                        &resolve_table,
-                        &burnable_at,
-                    );
-                });
-            }
-
-            // Phase 2 — sequential ordered merge: replay the epoch's pops
-            // in exact reference order, re-checking every raster-dependent
-            // condition against the live raster.
-            merge.clear();
-            for (slot, ts) in tiles[..n_active].iter().enumerate() {
-                if let Some(g) = ts.groups.first() {
-                    merge.push((Reverse(Time(g.t)), g.idx, slot as u32));
-                }
-            }
-            while let Some((Reverse(Time(t)), idx, src)) = merge.pop() {
-                #[cfg(debug_assertions)]
-                {
-                    if let Some((pt, pi)) = prev_pop {
-                        debug_assert!(
-                            pt < t || (pt == t && pi >= idx),
-                            "tiled merge order regressed: ({pt}, {pi}) then ({t}, {idx})"
-                        );
-                    }
-                    prev_pop = Some((t, idx));
-                }
-                if src == CASCADE {
-                    // An arrival generated inside this epoch: relax it
-                    // fully here, exactly where the heap would pop it.
-                    let ci = idx as usize;
-                    let (r, c) = (ci / cols, ci % cols);
-                    if t > out.time(r, c) + SMIDGEN {
-                        continue; // stale entry
-                    }
-                    let table = resolve_table(ci, r, c);
-                    for (dir, &(dr, dc, dist_factor)) in
-                        landscape::NEIGHBOUR_OFFSETS.iter().enumerate()
-                    {
-                        let (nr, nc) = (r as isize + dr, c as isize + dc);
-                        if nr < 0 || nc < 0 || nr as usize >= rows || nc as usize >= cols {
-                            continue;
-                        }
-                        let (nr, nc) = (nr as usize, nc as usize);
-                        let ros = table[dir];
-                        if ros <= SMIDGEN {
-                            continue;
-                        }
-                        let arrival = t + dist_factor * cell_ft / ros;
-                        if arrival > t_end || arrival >= out.time(nr, nc) - SMIDGEN {
-                            continue;
-                        }
-                        let nidx = nr * cols + nc;
-                        if !burnable_at(nidx) {
-                            continue;
-                        }
-                        out.set_time(nr, nc, arrival);
-                        if win.contains(nr, nc) {
-                            let wr = nr - win.r0;
-                            span_lo[wr] = span_lo[wr].min(nc as u32);
-                            span_hi[wr] = span_hi[wr].max(nc as u32);
-                        } else {
-                            stray.push(nidx as u32);
-                        }
-                        if queue.bucket_of(arrival) <= k_end {
-                            merge.push((Reverse(Time(arrival)), nidx as u32, CASCADE));
-                        } else {
-                            queue.stage(arrival, nidx as u32);
-                        }
-                    }
-                } else {
-                    // Head group of tile `src`: advance the tile cursor,
-                    // refill the frontier, then apply the group.
-                    let slot = src as usize;
-                    let ts = &mut tiles[slot];
-                    let g = ts.groups[ts.head];
-                    ts.head += 1;
-                    if let Some(n) = ts.groups.get(ts.head) {
-                        merge.push((Reverse(Time(n.t)), n.idx, src));
-                    }
-                    let ci = g.idx as usize;
-                    let (r, c) = (ci / cols, ci % cols);
-                    if g.t > out.time(r, c) + SMIDGEN {
-                        continue; // went stale since the drain snapshot
-                    }
-                    for &(arrival, nidx) in &g.cand[..g.len as usize] {
-                        let (nr, nc) = (nidx as usize / cols, nidx as usize % cols);
-                        if arrival >= out.time(nr, nc) - SMIDGEN {
-                            continue; // beaten since the drain snapshot
-                        }
-                        out.set_time(nr, nc, arrival);
-                        if win.contains(nr, nc) {
-                            let wr = nr - win.r0;
-                            span_lo[wr] = span_lo[wr].min(nc as u32);
-                            span_hi[wr] = span_hi[wr].max(nc as u32);
-                        } else {
-                            stray.push(nidx);
-                        }
-                        if queue.bucket_of(arrival) <= k_end {
-                            merge.push((Reverse(Time(arrival)), nidx, CASCADE));
-                        } else {
-                            queue.stage(arrival, nidx);
-                        }
-                    }
-                }
             }
         }
     }
@@ -2766,226 +1968,9 @@ mod tests {
         let _ = sim.simulate(&calm_scenario(), &centre_ignition(5, 5), 0.0, 0.0);
     }
 
-    /// Exact-bits comparison helper for kernel-equivalence tests.
-    fn assert_rasters_identical(a: &IgnitionMap, b: &IgnitionMap, what: &str) {
-        for (i, (x, y)) in a
-            .grid()
-            .as_slice()
-            .iter()
-            .zip(b.grid().as_slice())
-            .enumerate()
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: cell {i} diverged");
-        }
-    }
-
-    #[test]
-    fn tiled_kernel_matches_heap_across_table_modes_and_shapes() {
-        // All three table modes (uniform, per-fuel, per-cell) on every
-        // degenerate tile shape and worker count, exact raster bits.
-        let sims = [
-            flat_sim(25),
-            FireSim::new(Terrain::uniform(25, 25, 100.0).with_fuel(Grid::from_fn(
-                25,
-                25,
-                |r, c| [1u8, 2, 4, 0][(r * 3 + c) % 4],
-            ))),
-            layered_sim(25, 25),
-        ];
-        let s = Scenario {
-            wind_speed_mph: 8.0,
-            wind_dir_deg: 45.0,
-            ..Scenario::reference()
-        };
-        let ignition = FireLine::from_cells(25, 25, &[(12, 12), (3, 20)]);
-        for sim in &sims {
-            let mut heap_arena = sim.arena();
-            let mut tiled_arena = sim.arena();
-            for (tile, workers) in [(1, 2), (3, 8), (7, 1), (64, 2), (1000, 8)] {
-                for dur in [30.0, 240.0, 2000.0] {
-                    let h = sim
-                        .simulate_arena_kernel(
-                            &s,
-                            &ignition,
-                            0.0,
-                            dur,
-                            &mut heap_arena,
-                            Kernel::Heap,
-                        )
-                        .clone();
-                    let t = sim.simulate_arena_kernel(
-                        &s,
-                        &ignition,
-                        0.0,
-                        dur,
-                        &mut tiled_arena,
-                        Kernel::Tiled { tile, workers },
-                    );
-                    assert_rasters_identical(
-                        &h,
-                        t,
-                        &format!("tile={tile} workers={workers} dur={dur}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_kernel_reuses_dirty_arena_and_interleaves_with_other_kernels() {
-        // Heap run (full dirt) → tiled run must reset via Dirty::All; then
-        // bucket and tiled alternate on the same arena with moving
-        // ignitions, each pinned against a fresh reference run.
-        let sim = layered_sim(33, 47);
-        let s = Scenario {
-            wind_speed_mph: 6.0,
-            ..Scenario::reference()
-        };
-        let mut arena = sim.arena();
-        sim.simulate_arena_kernel(
-            &s,
-            &FireLine::from_cells(33, 47, &[(16, 23)]),
-            0.0,
-            5000.0,
-            &mut arena,
-            Kernel::Heap,
-        );
-        let runs = [
-            (
-                Kernel::Tiled {
-                    tile: 8,
-                    workers: 2,
-                },
-                (3usize, 3usize),
-            ),
-            (Kernel::Bucket, (30, 44)),
-            (
-                Kernel::Tiled {
-                    tile: 16,
-                    workers: 8,
-                },
-                (16, 23),
-            ),
-            (
-                Kernel::Tiled {
-                    tile: 1,
-                    workers: 2,
-                },
-                (2, 40),
-            ),
-        ];
-        for (i, (kernel, cell)) in runs.iter().enumerate() {
-            let ign = FireLine::from_cells(33, 47, &[*cell]);
-            let fresh = sim.simulate(&s, &ign, 0.0, 90.0);
-            let got = sim.simulate_arena_kernel(&s, &ign, 0.0, 90.0, &mut arena, *kernel);
-            assert_rasters_identical(&fresh, got, &format!("interleaved run {i}"));
-        }
-    }
-
-    #[test]
-    fn parallel_window_fill_matches_serial() {
-        let sim = FireSim::new(
-            Terrain::uniform(140, 130, 100.0)
-                .with_slope(Grid::from_fn(140, 130, |r, c| {
-                    ((r * 5 + c * 3) % 40) as f64
-                }))
-                .with_wind(
-                    Grid::from_fn(140, 130, |r, c| ((r + c) % 5) as f64 * 0.5),
-                    Grid::from_fn(140, 130, |r, c| ((r * c) % 60) as f64),
-                ),
-        );
-        let s = Scenario {
-            wind_speed_mph: 11.0,
-            wind_dir_deg: 210.0,
-            ..Scenario::reference()
-        };
-        let base = sim.hoisted_base(&s.moisture());
-        let win = Window {
-            r0: 3,
-            c0: 1,
-            rows: 133,
-            cols: 127,
-        };
-        let mut serial = SpreadScratch::default();
-        sim.fill_per_cell_window(&s, &mut serial, &win, &base);
-        for workers in [2, 8] {
-            let mut par = SpreadScratch::default();
-            sim.fill_per_cell_window_par(&s, &mut par, &win, &base, workers);
-            assert_eq!(serial.per_cell.len(), par.per_cell.len());
-            for (i, (a, b)) in serial.per_cell.iter().zip(&par.per_cell).enumerate() {
-                for d in 0..8 {
-                    assert_eq!(
-                        a[d].to_bits(),
-                        b[d].to_bits(),
-                        "workers={workers} window cell {i} dir {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_arena_is_allocation_free_in_steady_state() {
-        let n = 41usize;
-        let slope = Grid::from_fn(n, n, |r, c| ((r + c) % 30) as f64);
-        let sim = FireSim::new(Terrain::uniform(n, n, 100.0).with_slope(slope));
-        let s = calm_scenario();
-        let kernel = Kernel::Tiled {
-            tile: 8,
-            workers: 2,
-        };
-        let mut arena = sim.arena();
-        let durations: Vec<f64> = (0..6).map(|i| 400.0 + i as f64).collect();
-        for &d in &durations {
-            sim.simulate_arena_kernel(&s, &centre_ignition(n, n), 0.0, d, &mut arena, kernel);
-        }
-        let scratch = arena.scratch_bytes();
-        for &d in &durations {
-            sim.simulate_arena_kernel(&s, &centre_ignition(n, n), 0.0, d, &mut arena, kernel);
-            assert_eq!(arena.scratch_bytes(), scratch, "tiled arena scratch grew");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tile size must be non-zero")]
-    fn tiled_zero_tile_rejected() {
-        let sim = flat_sim(5);
-        let mut arena = sim.arena();
-        sim.simulate_arena_kernel(
-            &calm_scenario(),
-            &centre_ignition(5, 5),
-            0.0,
-            10.0,
-            &mut arena,
-            Kernel::Tiled {
-                tile: 0,
-                workers: 1,
-            },
-        );
-    }
-
     #[test]
     fn kernel_spec_strings_round_trip() {
-        let cases = [
-            ("heap", Kernel::Heap),
-            ("bucket", Kernel::Bucket),
-            ("tiled", Kernel::tiled_auto()),
-            (
-                "tiled:64",
-                Kernel::Tiled {
-                    tile: 64,
-                    workers: 0,
-                },
-            ),
-            (
-                "tiled:32x4",
-                Kernel::Tiled {
-                    tile: 32,
-                    workers: 4,
-                },
-            ),
-        ];
-        for (spec, kernel) in cases {
+        for (spec, kernel) in [("heap", Kernel::Heap), ("bucket", Kernel::Bucket)] {
             assert_eq!(spec.parse::<Kernel>().unwrap(), kernel, "parse {spec}");
             assert_eq!(
                 kernel.to_string().parse::<Kernel>().unwrap(),
@@ -2993,8 +1978,18 @@ mod tests {
                 "display round-trip {spec}"
             );
         }
-        for bad in ["", "tile", "tiled:0", "tiled:8x", "tiled:x2", "bucket:4"] {
+        assert_eq!(" Bucket ".parse::<Kernel>().unwrap(), Kernel::Bucket);
+        for bad in ["", "tile", "bucket:4", "heap x2"] {
             assert!(bad.parse::<Kernel>().is_err(), "'{bad}' must not parse");
+        }
+    }
+
+    #[test]
+    fn retired_tiled_specs_are_rejected() {
+        for spec in ["tiled", "tiled:128", "tiled:128x4"] {
+            let err = spec.parse::<Kernel>().unwrap_err().to_string();
+            assert!(err.contains(spec), "{err}");
+            assert!(err.ends_with("(expected heap | bucket)"), "{err}");
         }
     }
 }

@@ -332,93 +332,6 @@ fn bucket_kernel_bit_identical_on_random_landscapes() {
     }
 }
 
-/// The tiled parallel kernel is bit-for-bit identical to BOTH the
-/// reference heap kernel and the bucket kernel on *every* landscape:
-/// random non-square terrains with fuel mosaics, slopes, aspects and
-/// per-cell wind fields, random scenarios and durations, 1–4 scattered
-/// ignitions — swept across degenerate tile shapes (1-cell tiles, a tile
-/// larger than the grid, non-divisible edges) and worker counts
-/// {1, 2, 8}, with the tiled arena reused dirty across every case so the
-/// span-reset path is exercised between landscapes of different shapes.
-/// Exact f64 raster bits, no tolerance: the defer-all drain plus ordered
-/// merge must realize the heap's pop sequence literally.
-#[test]
-fn tiled_kernel_bit_identical_on_random_landscapes() {
-    use firelib::sim::Kernel;
-    use landscape::{FireLine, Grid};
-    let configs = [(1usize, 2usize), (3, 8), (5, 1), (13, 2), (1000, 8)];
-    for seed in 0..CASES / 2 {
-        let mut rng = StdRng::seed_from_u64(0x711E + seed);
-        let (rows, cols) = if seed % 2 == 0 {
-            (11 + (seed as usize % 7), 19 + (seed as usize % 5))
-        } else {
-            (21 + (seed as usize % 5), 12 + (seed as usize % 7))
-        };
-        let fuel = Grid::from_fn(rows, cols, |_, _| rng.random_range(0..14u32) as u8);
-        let slope = Grid::from_fn(rows, cols, |_, _| rng.random::<f64>() * 40.0);
-        let aspect = Grid::from_fn(rows, cols, |_, _| rng.random::<f64>() * 360.0);
-        let speed = Grid::from_fn(rows, cols, |_, _| 0.25 + rng.random::<f64>() * 1.75);
-        let dir = Grid::from_fn(rows, cols, |_, _| (rng.random::<f64>() - 0.5) * 90.0);
-        let terrain = Terrain::uniform(rows, cols, 60.0 + rng.random::<f64>() * 80.0)
-            .with_fuel(fuel)
-            .with_slope(slope)
-            .with_aspect(aspect)
-            .with_wind(speed, dir);
-        let mut ignition = FireLine::empty(rows, cols);
-        for _ in 0..rng.random_range(1..5u32) {
-            ignition.set_burned(rng.random_range(0..rows), rng.random_range(0..cols), true);
-        }
-        let s = scenario(&mut rng);
-        let duration = 20.0 + rng.random::<f64>() * 400.0;
-        let (tile, workers) = configs[seed as usize % configs.len()];
-
-        let sim = FireSim::new(terrain);
-        let mut heap_arena = sim.arena();
-        let mut bucket_arena = sim.arena();
-        let mut tiled_arena = sim.arena();
-        // Two back-to-back runs per kernel: the second starts from a dirty
-        // arena, so any under-reset from the span bookkeeping shows up.
-        for round in 0..2 {
-            let reference = sim
-                .simulate_arena_kernel(&s, &ignition, 0.0, duration, &mut heap_arena, Kernel::Heap)
-                .clone();
-            let bucket = sim
-                .simulate_arena_kernel(
-                    &s,
-                    &ignition,
-                    0.0,
-                    duration,
-                    &mut bucket_arena,
-                    Kernel::Bucket,
-                )
-                .clone();
-            let tiled = sim.simulate_arena_kernel(
-                &s,
-                &ignition,
-                0.0,
-                duration,
-                &mut tiled_arena,
-                Kernel::Tiled { tile, workers },
-            );
-            let bits = |m: &landscape::IgnitionMap| -> Vec<u64> {
-                m.grid().as_slice().iter().map(|t| t.to_bits()).collect()
-            };
-            assert_eq!(
-                bits(&reference),
-                bits(tiled),
-                "seed {seed} round {round} ({rows}x{cols}, tile {tile}, workers {workers}): \
-                 tiled diverged from heap"
-            );
-            assert_eq!(
-                bits(&bucket),
-                bits(tiled),
-                "seed {seed} round {round} ({rows}x{cols}, tile {tile}, workers {workers}): \
-                 tiled diverged from bucket"
-            );
-        }
-    }
-}
-
 /// Multi-ignition fronts on non-square grids with a per-cell wind field:
 /// every seeded front contributes (each seed cell is in the map at t0),
 /// merged fronts still obey the adjacency invariant, and the wind layers

@@ -23,7 +23,7 @@
 //! * [`chunk::scoped_chunk_map`] — the self-scheduling scoped chunk map
 //!   for borrowed data (workers pull contiguous index chunks from a
 //!   shared counter); the batch novelty-scoring path of the `evoalg`
-//!   crate and the tiled fire kernel run on it.
+//!   crate runs on it.
 //! * [`channel`] — the dependency-free MPMC channel under the farm.
 //! * [`stats`] — wall-clock / busy-time instrumentation feeding the
 //!   speedup experiment (E3).
@@ -35,6 +35,6 @@ pub mod pool;
 pub mod stats;
 
 pub use backend::{Backend, EvalBackend, ParseBackendError, SerialBackend};
-pub use chunk::{scoped_chunk_map, scoped_chunk_map_ranges, scoped_for_each_mut};
+pub use chunk::{scoped_chunk_map, scoped_chunk_map_ranges};
 pub use pool::WorkerPool;
 pub use stats::{PoolStats, SpeedupRow, Stopwatch};

@@ -115,9 +115,10 @@ impl RunSpec {
         self.novelty
     }
 
-    /// Fire-propagation kernel every simulation in the run uses (default
-    /// bucket). Like [`RunSpec::novelty`] this is purely a performance
-    /// knob: all kernels produce bit-identical rasters, so predictions
+    /// Fire-propagation kernel every simulation in the run uses: `bucket`
+    /// (the default) or `heap` (the reference). Like [`RunSpec::novelty`]
+    /// this is purely a performance knob: both kernels produce
+    /// bit-identical rasters, so predictions
     /// never depend on it — and it therefore applies on shared pools too.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
@@ -455,7 +456,7 @@ impl RunSpec {
         if let Some(k) = present("kernel") {
             let name = k
                 .as_str()
-                .ok_or("'kernel' must be a string like \"bucket\", \"heap\" or \"tiled:128x4\"")?;
+                .ok_or("'kernel' must be the string \"bucket\" or \"heap\"")?;
             spec = spec.kernel(
                 name.parse()
                     .map_err(|e: firelib::ParseKernelError| e.to_string())?,
@@ -527,18 +528,9 @@ mod tests {
             .deadline_ms(5000)
             .backend(EvalBackend::WorkerPool(2))
             .novelty(NoveltyEngine::brute_force().with_workers(2))
-            .kernel(Kernel::Tiled {
-                tile: 64,
-                workers: 4,
-            });
+            .kernel(Kernel::Heap);
         assert_eq!(spec.system_name(), "ESS-NS");
-        assert_eq!(
-            spec.sim_kernel(),
-            Kernel::Tiled {
-                tile: 64,
-                workers: 4
-            }
-        );
+        assert_eq!(spec.sim_kernel(), Kernel::Heap);
         assert_eq!(
             RunSpec::new("ESS", "meadow_small").sim_kernel(),
             Kernel::Bucket
@@ -620,10 +612,7 @@ mod tests {
         let full = RunSpec::new("ESS-NS", "meadow_small")
             .backend(EvalBackend::WorkerPool(4))
             .novelty(NoveltyEngine::brute_force().with_workers(2))
-            .kernel(Kernel::Tiled {
-                tile: 128,
-                workers: 0,
-            })
+            .kernel(Kernel::Heap)
             .seed(99)
             .replicates(3)
             .scale(0.375)
@@ -672,6 +661,17 @@ mod tests {
             let err = RunSpec::from_json(&Json::parse(line).expect("valid json"))
                 .expect_err("must reject");
             assert!(err.contains(needle), "{line} → {err}");
+        }
+    }
+
+    #[test]
+    fn retired_tiled_kernel_specs_are_rejected() {
+        for kernel in ["tiled", "tiled:128", "tiled:128x4"] {
+            let line = format!(r#"{{"system":"ESS","case":"meadow_small","kernel":"{kernel}"}}"#);
+            let err = RunSpec::from_json(&Json::parse(&line).expect("valid json"))
+                .expect_err("tiled kernels are gone");
+            assert!(err.contains("kernel") && err.contains(kernel), "{err}");
+            assert!(err.contains("heap | bucket"), "{err}");
         }
     }
 

@@ -60,13 +60,10 @@ fn random_spec(rng: &mut StdRng) -> RunSpec {
         });
     }
     if rng.random_bool(0.5) {
-        spec = spec.kernel(match rng.random_range(0..3u32) {
-            0 => firelib::Kernel::Heap,
-            1 => firelib::Kernel::Bucket,
-            _ => firelib::Kernel::Tiled {
-                tile: 1 + rng.random_range(0..512usize),
-                workers: rng.random_range(0..9usize),
-            },
+        spec = spec.kernel(if rng.random_bool(0.5) {
+            firelib::Kernel::Heap
+        } else {
+            firelib::Kernel::Bucket
         });
     }
     spec

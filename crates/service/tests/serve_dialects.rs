@@ -125,3 +125,39 @@ fn an_overlong_line_gets_one_error_and_serving_continues() {
         }
     );
 }
+
+#[test]
+fn a_retired_tiled_kernel_spec_gets_one_error_and_serving_continues() {
+    // The tiled kernel is gone: a run naming it is refused with exactly
+    // one error frame, and the next request on the connection is served.
+    let script = concat!(
+        r#"{"v":2,"id":1,"kind":"run","spec":{"system":"ESS","case":"meadow_small","scale":0.15,"max_steps":1,"kernel":"tiled:128x4"}}"#,
+        "\n",
+        r#"{"v":2,"id":2,"kind":"run","spec":{"system":"ESS","case":"meadow_small","scale":0.15,"max_steps":1,"kernel":"bucket"}}"#,
+        "\n",
+    );
+    let mut out = Vec::new();
+    let summary = serve(script.as_bytes(), &mut out, EvalBackend::Serial).expect("serve I/O");
+    assert_eq!((summary.errors, summary.accepted), (1, 1));
+    let frames = frames(&String::from_utf8(out).expect("utf-8"));
+    let errors: Vec<&str> = frames
+        .iter()
+        .filter_map(|f| match f {
+            Frame::Reply {
+                reply: Reply::Error { message },
+                ..
+            } => Some(message.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(errors.len(), 1, "{frames:?}");
+    assert!(
+        errors[0].contains("kernel") && errors[0].contains("heap | bucket"),
+        "{}",
+        errors[0]
+    );
+    assert!(frames.contains(&Frame::Reply {
+        id: 2,
+        reply: Reply::Accepted { sessions: vec![1] },
+    }));
+}
